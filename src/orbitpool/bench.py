@@ -320,43 +320,55 @@ class PairMatches:
     warning: bool = False
 
 
-def _vectors(img: ImageBuffer, kps: Sequence[Keypoint], kind: str, mcfg: MatchConfig):
-    """Descriptor vectors for the supported keypoints; drops the rest."""
-    kept, rows = [], []
+def describe(
+    img: ImageBuffer,
+    keypoints: Sequence[Keypoint],
+    kind: str,
+    prior: SizePrior,
+    cfg: DescriptorConfig,
+    bank: FilterBank,
+) -> Tuple[List[int], np.ndarray, np.ndarray]:
+    """The vectors matching compares, one row per supported keypoint.
+
+    Returns the indices of the kept keypoints, their descriptor matrix,
+    and a per-row degenerate flag.  Keypoints whose window leaves the
+    image are dropped.  ``sift`` reads one window of side base_size *
+    support_factor and ``dsp-sift`` pools over ``prior``; ``sc`` scatters
+    under the delta prior and ``dsp-sc`` under ``prior``.  A histogram is
+    degenerate when its window has no gradient mass, a scattering row
+    when its wavelet coefficients are all zero.
+    """
+    if kind not in KINDS:
+        raise ValueError(f"unknown descriptor kind {kind!r}, expected one of {KINDS}")
     if kind in ("sift", "dsp-sift"):
         fld = compute_gradients(img)
-        for i, kp in enumerate(kps):
-            try:
-                if kind == "sift":
-                    d = single_size_descriptor(
-                        fld, kp, kp.base_size * mcfg.descriptor.support_factor, mcfg.descriptor
-                    )
-                else:
-                    d = dsp_descriptor(fld, kp, mcfg.prior, mcfg.descriptor)
-            except SupportError:
-                continue
-            kept.append(i)
-            rows.append(d.values)
-    elif kind in ("sc", "dsp-sc"):
-        bank = mcfg.scattering_bank()
-        prior = SizePrior.delta() if kind == "sc" else mcfg.prior
-        for i, kp in enumerate(kps):
-            try:
-                v = dsp_scatter(img, kp, prior, bank=bank)
-            except SupportError:
-                continue
+    if kind == "sc":
+        prior = SizePrior.delta()
+    kept, rows, degenerate = [], [], []
+    for i, kp in enumerate(keypoints):
+        try:
+            if kind == "sift":
+                d = single_size_descriptor(fld, kp, kp.base_size * cfg.support_factor, cfg)
+            elif kind == "dsp-sift":
+                d = dsp_descriptor(fld, kp, prior, cfg)
+            else:
+                vec = dsp_scatter(img, kp, prior, bank=bank)
+        except SupportError:
+            continue
+        if kind in ("sc", "dsp-sc"):
             # order 0 is the local mean: brightness, not structure.  It
             # dominates the raw norm, so drop it and l2-normalize the
             # wavelet orders before euclidean matching.
-            flat = v.flatten()[1:]
+            flat = vec.flatten()[1:]
             norm = np.linalg.norm(flat)
-            kept.append(i)
-            rows.append(flat / norm if norm > 0 else flat)
-    else:
-        raise ValueError(f"unknown descriptor kind {kind!r}, expected one of {KINDS}")
-    if not rows:
-        return kept, np.zeros((0, 1))
-    return kept, np.stack(rows)
+            row, flag = (flat / norm, False) if norm > 0 else (flat, True)
+        else:
+            row, flag = d.values, d.degenerate
+        kept.append(i)
+        rows.append(row)
+        degenerate.append(flag)
+    matrix = np.stack(rows) if rows else np.zeros((0, 1))
+    return kept, matrix, np.array(degenerate, dtype=bool)
 
 
 def match_pair(pair: SyntheticPair, kind: str, mcfg: MatchConfig = MatchConfig()) -> PairMatches:
@@ -371,8 +383,9 @@ def match_pair(pair: SyntheticPair, kind: str, mcfg: MatchConfig = MatchConfig()
     projections = [pair.project((kp.u, kp.v)) for kp in ref_kps]
     pool_kps = [Keypoint(float(p[0]), float(p[1]), mcfg.base_size) for p in projections]
 
-    ref_idx, ref_vecs = _vectors(pair.reference, ref_kps, kind, mcfg)
-    pool_idx, pool_vecs = _vectors(pair.transformed, pool_kps, kind, mcfg)
+    args = (kind, mcfg.prior, mcfg.descriptor, mcfg.scattering_bank())
+    ref_idx, ref_vecs, _ = describe(pair.reference, ref_kps, *args)
+    pool_idx, pool_vecs, _ = describe(pair.transformed, pool_kps, *args)
 
     pool_set = set(pool_idx)
     candidates = sum(

@@ -15,6 +15,7 @@ from .bench import (
     KINDS,
     MatchConfig,
     SynthSpec,
+    describe,
     evaluate,
     load_pair,
     match_pair,
@@ -26,12 +27,11 @@ from .descriptor import (
     Keypoint,
     SizePrior,
     detect_keypoints,
-    dsp_descriptor,
-    dump_descriptors,
     single_size_descriptor,
+    write_rows,
 )
-from .image import SupportError, compute_gradients, load_image
-from .scattering import build_filter_bank, dsp_scatter
+from .image import compute_gradients, load_image
+from .scattering import build_filter_bank
 from .soa import GroupSampleSet, build_template, soa_likelihood
 
 
@@ -83,7 +83,7 @@ def build_parser() -> _Parser:
     det.add_argument("--grid", action="store_true", help="keypoint lattice (default)")
     det.add_argument("--dog", action="store_true", help="difference-of-Gaussians extrema")
     p.add_argument("--sizes", type=_parse_floats, default=None,
-                   help="comma-separated size multipliers for the pooling prior")
+                   help="comma-separated size multipliers for the dsp-sift/dsp-sc pooling prior")
     p.add_argument("--bins", type=int, default=8)
     p.add_argument("--cells", type=int, default=4)
     p.add_argument("--out", default=None, help="output CSV path (default stdout)")
@@ -124,64 +124,31 @@ def build_parser() -> _Parser:
 
 
 def _cmd_describe(args) -> int:
+    if args.sizes and args.kind not in ("dsp-sift", "dsp-sc"):
+        raise ValueError(f"--sizes sets the pooling prior of dsp-sift and dsp-sc, not of {args.kind}")
     img = load_image(args.image)
     cfg = DescriptorConfig(cells=args.cells, bins=args.bins)
-    mode = "dog" if args.dog else "grid"
-    if mode == "grid":
-        kps = detect_keypoints(img, "grid", stride=16, base_size=8.0)
-    else:
+    if args.dog:
         kps = detect_keypoints(img, "dog")
-
-    pooled = args.kind in ("dsp-sift", "dsp-sc")
-    if args.sizes:
-        prior = SizePrior.uniform(args.sizes)
-    elif pooled:
-        prior = SizePrior.default()
     else:
-        prior = SizePrior.delta()
-
-    rows = []
-    dropped = 0
-    if args.kind in ("sift", "dsp-sift"):
-        field = compute_gradients(img)
-        for kp in kps:
-            try:
-                rows.append(dsp_descriptor(field, kp, prior, cfg))
-            except SupportError:
-                dropped += 1
-    else:
-        bank = build_filter_bank()
-        for kp in kps:
-            try:
-                vec = dsp_scatter(img, kp, prior, bank=bank)
-            except SupportError:
-                dropped += 1
-                continue
-            rows.append((kp, vec))
-    if not rows:
+        kps = detect_keypoints(img, "grid", stride=16, base_size=8.0)
+    prior = SizePrior.uniform(args.sizes) if args.sizes else SizePrior.default()
+    kept, matrix, degenerate = describe(img, kps, args.kind, prior, cfg, build_filter_bank())
+    if not kept:
         raise ValueError(f"no keypoints with descriptor support in {args.image}")
-    if dropped:
-        print(f"dropped {dropped} keypoints without support", file=sys.stderr)
+    if len(kept) < len(kps):
+        print(f"dropped {len(kps) - len(kept)} keypoints without support", file=sys.stderr)
 
-    def write(out):
-        if args.kind in ("sift", "dsp-sift"):
-            dump_descriptors(rows, out, cfg)
-        else:
-            vec0 = rows[0][1]
-            order = 2 if vec0.pairs else 1
-            out.write(f"order={order},length={vec0.flatten().size},kind={args.kind}\n")
-            writer = csv.writer(out, lineterminator="\n")
-            for kp, vec in rows:
-                row = [repr(float(kp.u)), repr(float(kp.v)), repr(float(kp.base_size)),
-                       repr(float(kp.orientation)), "0"]
-                row.extend(repr(float(x)) for x in vec.flatten())
-                writer.writerow(row)
-
+    if args.kind in ("sift", "dsp-sift"):
+        header = {"cells": cfg.cells, "bins": cfg.bins, "metric": "bhattacharyya"}
+    else:
+        header = {"order": 2, "length": matrix.shape[1], "kind": args.kind}
+    rows = ((kps[i], flag, values) for i, flag, values in zip(kept, degenerate, matrix))
     if args.out:
         with open(args.out, "w") as fh:
-            write(fh)
+            write_rows(fh, header, rows)
     else:
-        write(sys.stdout)
+        write_rows(sys.stdout, header, rows)
     return 0
 
 

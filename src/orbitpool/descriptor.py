@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, TextIO, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
 from scipy import ndimage
@@ -36,6 +36,8 @@ __all__ = [
     "single_size_descriptor",
     "dsp_descriptor",
     "descriptor_distance",
+    "write_rows",
+    "read_rows",
     "dump_descriptors",
     "read_descriptors",
 ]
@@ -426,43 +428,58 @@ def descriptor_distance(a: Descriptor, b: Descriptor, metric: str = "euclidean")
     raise ValueError(f"unknown metric {metric!r}")
 
 
+def write_rows(
+    out: TextIO,
+    header: Mapping[str, object],
+    rows: Iterable[Tuple[Keypoint, bool, Sequence[float]]],
+) -> None:
+    """Write a ``key=value,...`` header line, then one CSV line per row.
+
+    Each row is (keypoint, degenerate flag, values) and is written as u,
+    v, base_size, orientation, the flag as 0/1, then the values, every
+    float in its exact ``repr``.  Header values may not contain a comma
+    or a line break, since either would split the header on reading.
+    """
+    for key, value in header.items():
+        if any(c in str(value) for c in ",\r\n"):
+            raise ValueError(f"header value {key}={value!r} contains a comma or a line break")
+    out.write(",".join(f"{key}={value}" for key, value in header.items()) + "\n")
+    writer = csv.writer(out, lineterminator="\n")
+    for kp, degenerate, values in rows:
+        line = [repr(float(x)) for x in (kp.u, kp.v, kp.base_size, kp.orientation)]
+        line.append(str(int(degenerate)))
+        line.extend(repr(float(x)) for x in values)
+        writer.writerow(line)
+
+
+def read_rows(stream: TextIO) -> Tuple[Dict[str, str], List[Tuple[Keypoint, bool, np.ndarray]]]:
+    """Parse the format written by write_rows into header fields and rows."""
+    header = stream.readline().strip()
+    fields = dict(part.split("=", 1) for part in header.split(",") if "=" in part)
+    rows = []
+    for line in csv.reader(stream):
+        if not line:
+            continue
+        if len(line) < 6:
+            raise ValueError(f"row of {len(line)} fields, expected at least 6")
+        kp = Keypoint(float(line[0]), float(line[1]), float(line[2]), float(line[3]))
+        rows.append((kp, bool(int(line[4])), np.array([float(x) for x in line[5:]])))
+    return fields, rows
+
+
 def dump_descriptors(
     descriptors: Iterable[Descriptor],
     out: TextIO,
     cfg: DescriptorConfig = DescriptorConfig(),
     metric: str = "bhattacharyya",
 ) -> None:
-    """Write descriptors as CSV: a config header line, then one row each.
-
-    Rows carry u, v, base_size, orientation, the degenerate flag (0/1),
-    and the descriptor values.
-    """
-    out.write(f"cells={cfg.cells},bins={cfg.bins},metric={metric}\n")
-    writer = csv.writer(out, lineterminator="\n")
-    for d in descriptors:
-        kp = d.keypoint
-        row = [
-            repr(float(kp.u)),
-            repr(float(kp.v)),
-            repr(float(kp.base_size)),
-            repr(float(kp.orientation)),
-            str(int(d.degenerate)),
-        ]
-        row.extend(repr(float(x)) for x in d.values)
-        writer.writerow(row)
+    """Write descriptors through write_rows under a grid-shape header."""
+    header = {"cells": cfg.cells, "bins": cfg.bins, "metric": metric}
+    write_rows(out, header, ((d.keypoint, d.degenerate, d.values) for d in descriptors))
 
 
 def read_descriptors(stream: TextIO) -> List[Descriptor]:
     """Parse the CSV format written by dump_descriptors."""
-    header = stream.readline().strip()
-    fields = dict(part.split("=", 1) for part in header.split(",") if "=" in part)
+    fields, rows = read_rows(stream)
     cells, bins = int(fields["cells"]), int(fields["bins"])
-    out = []
-    for row in csv.reader(stream):
-        if not row:
-            continue
-        kp = Keypoint(float(row[0]), float(row[1]), float(row[2]), float(row[3]))
-        degenerate = bool(int(row[4]))
-        values = np.array([float(x) for x in row[5:]])
-        out.append(Descriptor(values, cells, bins, kp, degenerate))
-    return out
+    return [Descriptor(values, cells, bins, kp, flag) for kp, flag, values in rows]

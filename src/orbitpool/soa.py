@@ -15,7 +15,6 @@ orientation, so the transform itself is what distinguishes the views.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, TextIO, Tuple
@@ -30,6 +29,8 @@ from .descriptor import (
     _accumulate_grid,
     _finish,
     _window_corners,
+    read_rows,
+    write_rows,
 )
 
 __all__ = [
@@ -232,39 +233,17 @@ def soa_likelihood(template: TemplateModel, query: Descriptor, metric: str = "af
 def save_template(template: TemplateModel, out: TextIO, metric: str = "affinity") -> None:
     """Header (source, count, grid shape, metric), then one row per sample."""
     first = template.descriptors[0]
-    out.write(
-        f"source={template.source},n={len(template)},cells={first.cells},"
-        f"bins={first.bins},metric={metric}\n"
-    )
-    writer = csv.writer(out, lineterminator="\n")
-    for i, d in enumerate(template.descriptors, start=1):
-        kp = d.keypoint
-        row = [
-            str(i),
-            repr(float(kp.u)),
-            repr(float(kp.v)),
-            repr(float(kp.base_size)),
-            repr(float(kp.orientation)),
-            str(int(d.degenerate)),
-        ]
-        row.extend(repr(float(x)) for x in d.values)
-        writer.writerow(row)
+    header = {"source": template.source, "n": len(template), "cells": first.cells,
+              "bins": first.bins, "metric": metric}
+    write_rows(out, header, ((d.keypoint, d.degenerate, d.values) for d in template.descriptors))
 
 
 def load_template(stream: TextIO) -> TemplateModel:
     """Parse the CSV format written by save_template."""
-    header = stream.readline().strip()
-    fields = dict(part.split("=", 1) for part in header.split(",") if "=" in part)
+    fields, rows = read_rows(stream)
     cells, bins = int(fields["cells"]), int(fields["bins"])
     count = int(fields["n"])
-    descriptors = []
-    for row in csv.reader(stream):
-        if not row:
-            continue
-        kp = Keypoint(float(row[1]), float(row[2]), float(row[3]), float(row[4]))
-        degenerate = bool(int(row[5]))
-        values = np.array([float(x) for x in row[6:]])
-        descriptors.append(Descriptor(values, cells, bins, kp, degenerate))
+    descriptors = tuple(Descriptor(values, cells, bins, kp, flag) for kp, flag, values in rows)
     if len(descriptors) != count:
         raise ValueError(f"template header promises {count} samples, found {len(descriptors)}")
-    return TemplateModel(fields.get("source", "template"), tuple(descriptors))
+    return TemplateModel(fields.get("source", "template"), descriptors)

@@ -12,6 +12,7 @@ from orbitpool.bench import (
     SynthSpec,
     SyntheticPair,
     _pr_area,
+    describe,
     evaluate,
     load_pair,
     make_pair,
@@ -200,6 +201,17 @@ class TestMatchPair:
         pm = match_pair(pair, "sift")
         # degenerate descriptors all coincide: the ratio test kills every match
         assert len(pm.records) == 0
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_black_image_rows_are_degenerate(self, kind):
+        black = ImageBuffer.from_array(np.zeros((48, 48)))
+        mcfg = MatchConfig()
+        kept, matrix, degenerate = describe(
+            black, grid_keypoints(black, 16, 8.0), kind,
+            mcfg.prior, mcfg.descriptor, mcfg.scattering_bank(),
+        )
+        assert kept == [4]  # the center of the 3x3 lattice is the only full window
+        assert degenerate.tolist() == [True]
 
     def test_brute_force_oracle_on_scale_pair(self):
         pair = make_pair(noise_base(16), SynthSpec(scale_range=(1.2, 1.2)),

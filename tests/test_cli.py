@@ -1,8 +1,11 @@
 import numpy as np
+import numpy.testing as npt
 import pytest
 
+from orbitpool.bench import KINDS, MatchConfig, describe
 from orbitpool.cli import main
-from orbitpool.image import save_pgm
+from orbitpool.descriptor import detect_keypoints, read_rows
+from orbitpool.image import load_image, save_pgm
 from orbitpool import textures
 
 
@@ -105,8 +108,31 @@ class TestDescribe:
     def test_scattering_rows(self, noise_file, capsys):
         assert main(["describe", noise_file, "--kind", "sc"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[0].startswith("order=2,length=217")
-        assert len(lines[1].split(",")) == 5 + 217
+        assert lines[0].startswith("order=2,length=216")
+        assert len(lines[1].split(",")) == 5 + 216
+
+    @pytest.mark.parametrize("kind", ["sift", "sc"])
+    def test_sizes_rejected_for_single_size_kinds(self, noise_file, kind, capsys):
+        assert main(["describe", noise_file, "--kind", kind, "--sizes", "0.9,1.1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--sizes" in captured.err
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_rows_are_what_matching_compares(self, noise_file, tmp_path, kind):
+        dest = tmp_path / "desc.csv"
+        assert main(["describe", noise_file, "--kind", kind, "--out", str(dest)]) == 0
+        with open(dest) as fh:
+            _, rows = read_rows(fh)
+        img = load_image(noise_file)
+        kps = detect_keypoints(img, "grid", stride=16, base_size=8.0)
+        mcfg = MatchConfig()
+        kept, matrix, degenerate = describe(
+            img, kps, kind, mcfg.prior, mcfg.descriptor, mcfg.scattering_bank()
+        )
+        assert [kp for kp, _, _ in rows] == [kps[i] for i in kept]
+        assert [flag for _, flag, _ in rows] == degenerate.tolist()
+        npt.assert_array_equal(np.stack([values for _, _, values in rows]), matrix)
 
     def test_out_file(self, ramp_file, tmp_path):
         dest = tmp_path / "desc.csv"

@@ -266,3 +266,24 @@ class TestTemplateIO:
         text = buf.getvalue().replace("n=2", "n=3")
         with pytest.raises(ValueError):
             load_template(io.StringIO(text))
+
+    def test_indexed_rows_rejected(self):
+        img = textures.filtered_noise(64, 64, seed=10)
+        t = build_template(img, CENTER_KP, GroupSampleSet.rotation_group(2, anti_alias="delta"))
+        buf = io.StringIO()
+        save_template(t, buf)
+        header, *rows = buf.getvalue().splitlines()
+        text = "\n".join([header] + [f"{i},{row}" for i, row in enumerate(rows, start=1)])
+        with pytest.raises(ValueError):
+            load_template(io.StringIO(text))
+
+    @pytest.mark.parametrize("source", ["shots/a,b.pgm", "x\ny", "x\ry"])
+    def test_header_separators_in_source_rejected(self, source):
+        img = textures.filtered_noise(64, 64, seed=10)
+        t = build_template(
+            img, CENTER_KP, GroupSampleSet.rotation_group(1, anti_alias="delta"), source=source
+        )
+        buf = io.StringIO()
+        with pytest.raises(ValueError):
+            save_template(t, buf)
+        assert buf.getvalue() == ""
