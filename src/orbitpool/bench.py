@@ -47,6 +47,11 @@ from .textures import benchmark_bases
 
 KINDS = ("sift", "dsp-sift", "sc", "dsp-sc")
 THRESHOLDS = (0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95)
+#: A scattering row whose wavelet norm is at most this share of its
+#: order-0 mean is flat: on a constant window the DC-free kernels leave
+#: round-off of about 1e-16 of it; the benchmark's textured windows
+#: give 1e-2 and more.
+SCATTER_FLAT_TOL = 1e-12
 
 _SCALE_LIMITS = (0.5, 2.0)
 _ROTATION_LIMITS = (-math.pi, math.pi)
@@ -336,7 +341,8 @@ def describe(
     support_factor and ``dsp-sift`` pools over ``prior``; ``sc`` scatters
     under the delta prior and ``dsp-sc`` under ``prior``.  A histogram is
     degenerate when its window has no gradient mass, a scattering row
-    when its wavelet coefficients are all zero.
+    when the norm of its wavelet coefficients is at most
+    ``SCATTER_FLAT_TOL`` times its order-0 mean; such a row is all zeros.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown descriptor kind {kind!r}, expected one of {KINDS}")
@@ -358,10 +364,14 @@ def describe(
         if kind in ("sc", "dsp-sc"):
             # order 0 is the local mean: brightness, not structure.  It
             # dominates the raw norm, so drop it and l2-normalize the
-            # wavelet orders before euclidean matching.
+            # wavelet orders before euclidean matching, unless all they
+            # hold is round-off.
             flat = vec.flatten()[1:]
             norm = np.linalg.norm(flat)
-            row, flag = (flat / norm, False) if norm > 0 else (flat, True)
+            if norm <= SCATTER_FLAT_TOL * abs(vec.order0):
+                row, flag = np.zeros_like(flat), True
+            else:
+                row, flag = flat / norm, False
         else:
             row, flag = d.values, d.degenerate
         kept.append(i)

@@ -21,7 +21,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, TextIO, Tu
 import numpy as np
 from scipy import ndimage
 
-from .image import GradientField, ImageBuffer, SupportError, gaussian_blur
+from .image import GradientField, ImageBuffer, SupportError, for_each_side, gaussian_blur
 from .orientation import CircularKernel, SpatialKernel, pooled_histogram, soft_vote
 
 __all__ = [
@@ -393,18 +393,7 @@ def dsp_descriptor(
     sizes listed.
     """
     sides = [m * kp.base_size * cfg.support_factor for m in prior.multipliers]
-    bad = []
-    for side in sides:
-        try:
-            _check_support(field, kp, side)
-        except SupportError:
-            bad.append(side)
-    if bad:
-        raise SupportError(
-            "window sides out of bounds at ({:.1f}, {:.1f}): {}".format(
-                kp.u, kp.v, ", ".join(f"{s:.2f}" for s in bad)
-            )
-        )
+    for_each_side((kp.u, kp.v), sides, lambda side: _check_support(field, kp, side))
     pooled = np.zeros(cfg.length)
     for side, weight in zip(sides, prior.weights):
         pooled += weight * _accumulate_grid(field, kp, side, cfg)

@@ -386,6 +386,29 @@ def extract_patch(img, center, side, out_side):
     return ImageBuffer.from_array(_bilinear_sample(values, su, sv), clip=True)
 
 
+def for_each_side(center, sides, fn):
+    """``[fn(side) for side in sides]``, all or nothing.
+
+    Every side whose ``fn`` raises ``SupportError`` is collected, and one
+    ``SupportError`` naming the center and all of those sides is raised.
+    Pooled descriptors use this so one message lists each window of the
+    size prior that leaves the image.
+    """
+    out, bad = [], []
+    for side in sides:
+        try:
+            out.append(fn(side))
+        except SupportError:
+            bad.append(side)
+    if bad:
+        raise SupportError(
+            "window sides out of bounds at ({:.1f}, {:.1f}): {}".format(
+                center[0], center[1], ", ".join(f"{s:.2f}" for s in bad)
+            )
+        )
+    return out
+
+
 # ---------------------------------------------------------------------------
 # file I/O: binary PGM (P5) and 8-bit PNG
 

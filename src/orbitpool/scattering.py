@@ -25,7 +25,7 @@ from typing import List, Optional, Sequence, TextIO, Tuple
 import numpy as np
 from scipy import ndimage
 
-from .image import ImageBuffer, SupportError, extract_patch
+from .image import ImageBuffer, SupportError, extract_patch, for_each_side
 from .descriptor import Keypoint, SizePrior
 
 __all__ = [
@@ -43,12 +43,15 @@ class FilterBank:
     """Immutable bank of band-pass kernels plus low-pass averaging scale.
 
     ``kernels[j][l]`` is the complex filter at dyadic scale j and rotation
-    angle 2*pi*l/L, so the bank covers the full circle and the filter at
-    l + L/2 is the complex conjugate of the one at l.  ``phi_sigma`` is
-    the scale of the Gaussian averaging
-    window applied after each modulus.  Frequency-domain copies of the
-    kernels are cached per patch shape; the cache is excluded from
-    comparison and never affects results.
+    angle 2*pi*l/L, so the bank covers the full circle and, for even L,
+    the filter at l + L/2 is the complex conjugate of the one at l.  A
+    real signal gives both the same modulus, so the frequency-domain path
+    of ``scatter`` needs only the ``distinct_rotations`` orientations
+    ``l < L/2`` (all L when L is odd).  ``phi_sigma`` is the scale of the
+    Gaussian averaging window applied after each modulus.  The kernel FFTs
+    of those orientations and the averaging weights are cached per patch
+    shape; the cache is excluded from comparison and never affects
+    results.
     """
 
     scales: int
@@ -58,28 +61,49 @@ class FilterBank:
     slant: float
     kernels: Tuple[Tuple[np.ndarray, ...], ...]
     phi_sigma: float
-    _fft_cache: dict = field(default_factory=dict, compare=False, repr=False)
+    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def max_radius(self) -> int:
         return (self.kernels[-1][0].shape[0] - 1) // 2
 
-    def kernel_ffts(self, shape: Tuple[int, int]) -> np.ndarray:
-        """Stacked FFTs of every kernel embedded in ``shape``, origin at (0,0)."""
-        cached = self._fft_cache.get(shape)
-        if cached is None:
+    @property
+    def distinct_rotations(self) -> int:
+        L = self.rotations
+        return L // 2 if L % 2 == 0 else L
+
+    def lowpass_weights(self, shape: Tuple[int, int]) -> np.ndarray:
+        """Normalized Gaussian averaging window of scale ``phi_sigma``."""
+        key = ("weights", shape)
+        weights = self._cache.get(key)
+        if weights is None:
             h, w = shape
-            stack = np.zeros((self.scales * self.rotations, h, w), dtype=complex)
+            cu, cv = (w - 1) / 2.0, (h - 1) / 2.0
+            uu, vv = np.meshgrid(np.arange(w, dtype=float), np.arange(h, dtype=float))
+            weights = np.exp(-0.5 * ((uu - cu) ** 2 + (vv - cv) ** 2) / (self.phi_sigma * self.phi_sigma))
+            weights /= weights.sum()
+            weights.flags.writeable = False
+            self._cache[key] = weights
+        return weights
+
+    def kernel_ffts(self, shape: Tuple[int, int]) -> np.ndarray:
+        """``(J, distinct_rotations, h, w)`` kernel FFTs embedded in ``shape``,
+        origin at (0, 0)."""
+        key = ("ffts", shape)
+        stack = self._cache.get(key)
+        if stack is None:
+            h, w = shape
+            stack = np.zeros((self.scales, self.distinct_rotations, h, w), dtype=complex)
             for j in range(self.scales):
-                for l in range(self.rotations):
+                for l in range(self.distinct_rotations):
                     k = self.kernels[j][l]
                     r = (k.shape[0] - 1) // 2
                     buf = np.zeros((h, w), dtype=complex)
                     buf[: k.shape[0], : k.shape[1]] = k
-                    stack[j * self.rotations + l] = np.fft.fft2(np.roll(buf, (-r, -r), axis=(0, 1)))
+                    stack[j, l] = np.fft.fft2(np.roll(buf, (-r, -r), axis=(0, 1)))
             stack.flags.writeable = False
-            cached = self._fft_cache[shape] = stack
-        return cached
+            self._cache[key] = stack
+        return stack
 
 
 def _gabor_kernel(sigma: float, xi: float, theta: float, slant: float) -> np.ndarray:
@@ -162,22 +186,10 @@ class ScatteringVector:
         return out
 
 
-def _lowpass_weights(shape: Tuple[int, int], sigma: float) -> np.ndarray:
-    h, w = shape
-    cu, cv = (w - 1) / 2.0, (h - 1) / 2.0
-    uu, vv = np.meshgrid(np.arange(w, dtype=float), np.arange(h, dtype=float))
-    weights = np.exp(-0.5 * ((uu - cu) ** 2 + (vv - cv) ** 2) / (sigma * sigma))
-    return weights / weights.sum()
-
-
 def _conv_direct(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     real = ndimage.convolve(values, kernel.real, mode="wrap")
     imag = ndimage.convolve(values, kernel.imag, mode="wrap")
     return real + 1j * imag
-
-
-def _conv_fft_batch(fx: np.ndarray, kernel_ffts: np.ndarray) -> np.ndarray:
-    return np.fft.ifft2(fx[None, :, :] * kernel_ffts, axes=(-2, -1))
 
 
 def scatter(
@@ -189,7 +201,11 @@ def scatter(
     """Scattering coefficients of a patch, collapsed to one value per path.
 
     ``method`` selects the convolution path: 'fft', 'direct', or 'auto'
-    (frequency domain once the smaller patch side reaches 32 px).
+    (frequency domain once the smaller patch side reaches 32 px).  For
+    even L the frequency-domain path computes the orientations in
+    [0, pi) only and copies them to l + L/2, where a real patch gives the
+    same modulus; the direct path computes every orientation and is the
+    reference the other must match.
     """
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
@@ -204,43 +220,61 @@ def scatter(
         )
     use_fft = method == "fft" or (method == "auto" and min(h, w) >= 32)
     J, L = bank.scales, bank.rotations
-    weights = _lowpass_weights(values.shape, bank.phi_sigma)
+    weights = bank.lowpass_weights(values.shape)
+    order0 = float((weights * values).sum())
+    pairs = tuple((j1, j2) for j1 in range(J) for j2 in range(j1 + 1, J)) if order == 2 else ()
 
     if use_fft:
-        ffts = bank.kernel_ffts(values.shape)
-        u1 = np.abs(_conv_fft_batch(np.fft.fft2(values), ffts)).reshape(J, L, h, w)
-    else:
-        u1 = np.empty((J, L, h, w))
-        for j in range(J):
-            for l in range(L):
-                u1[j, l] = np.abs(_conv_direct(values, bank.kernels[j][l]))
+        order1, order2 = _cascade_fft(values, bank, weights, order)
+        return ScatteringVector(order0, order1, order2, pairs)
 
-    order0 = float((weights * values).sum())
+    u1 = np.empty((J, L, h, w))
+    for j in range(J):
+        for l in range(L):
+            u1[j, l] = np.abs(_conv_direct(values, bank.kernels[j][l]))
     order1 = (u1 * weights).sum(axis=(2, 3))
 
-    pairs = tuple((j1, j2) for j1 in range(J) for j2 in range(j1 + 1, J)) if order == 2 else ()
     order2 = np.zeros((len(pairs), L, L))
-    if order == 2 and pairs:
-        pair_index = {p: i for i, p in enumerate(pairs)}
-        for j1 in range(J):
-            coarser = [j2 for j2 in range(j1 + 1, J)]
-            if not coarser:
-                continue
-            for l1 in range(L):
-                if use_fft:
-                    fu = np.fft.fft2(u1[j1, l1])
-                    rows = np.concatenate([ffts[j2 * L : (j2 + 1) * L] for j2 in coarser])
-                    u2 = np.abs(_conv_fft_batch(fu, rows))
-                    means = (u2 * weights).sum(axis=(1, 2)).reshape(len(coarser), L)
-                    for idx, j2 in enumerate(coarser):
-                        order2[pair_index[(j1, j2)], l1] = means[idx]
-                else:
-                    for j2 in coarser:
-                        for l2 in range(L):
-                            resp = np.abs(_conv_direct(u1[j1, l1], bank.kernels[j2][l2]))
-                            order2[pair_index[(j1, j2)], l1, l2] = (resp * weights).sum()
+    for p, (j1, j2) in enumerate(pairs):
+        for l1 in range(L):
+            for l2 in range(L):
+                resp = np.abs(_conv_direct(u1[j1, l1], bank.kernels[j2][l2]))
+                order2[p, l1, l2] = (resp * weights).sum()
 
     return ScatteringVector(order0, order1, order2, pairs)
+
+
+def _cascade_fft(
+    values: np.ndarray, bank: FilterBank, weights: np.ndarray, order: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Orders 1 and 2 in the frequency domain over the distinct orientations.
+
+    Order 1 is one inverse transform of a ``(J, H, h, w)`` stack; order 2
+    is, for each j1, one transform of ``u1[j1]`` and one inverse transform
+    of the ``(J-j1-1, H, H, h, w)`` stack over the coarser scales.  The
+    results are tiled back to all L orientations.
+    """
+    J, L, H = bank.scales, bank.rotations, bank.distinct_rotations
+    ffts = bank.kernel_ffts(values.shape)
+    flat_weights = weights.ravel()
+
+    def averaged_modulus(spectra):
+        u = np.abs(np.fft.ifft2(spectra))
+        return u, u.reshape(*u.shape[:-2], -1) @ flat_weights
+
+    u1, half1 = averaged_modulus(np.fft.fft2(values) * ffts)
+    tile = np.arange(L) % H
+    order1 = half1[:, tile]
+    if order == 1:
+        return order1, np.zeros((0, L, L))
+
+    half2 = []
+    for j1 in range(J - 1):
+        fu = np.fft.fft2(u1[j1])
+        _, means = averaged_modulus(fu[None, :, None] * ffts[j1 + 1 :, None])
+        half2.extend(means)
+    order2 = np.stack(half2)[:, tile][:, :, tile] if half2 else np.zeros((0, L, L))
+    return order1, order2
 
 
 def dsp_scatter(
@@ -262,20 +296,10 @@ def dsp_scatter(
     """
     if bank is None:
         bank = build_filter_bank()
-    patches = []
-    bad = []
-    for mult in prior.multipliers:
-        side = mult * kp.base_size * support_factor
-        try:
-            patches.append(extract_patch(img, (kp.u, kp.v), side, sample_side))
-        except SupportError:
-            bad.append(side)
-    if bad:
-        raise SupportError(
-            "window sides out of bounds at ({:.1f}, {:.1f}): {}".format(
-                kp.u, kp.v, ", ".join(f"{s:.2f}" for s in bad)
-            )
-        )
+    sides = [m * kp.base_size * support_factor for m in prior.multipliers]
+    patches = for_each_side(
+        (kp.u, kp.v), sides, lambda side: extract_patch(img, (kp.u, kp.v), side, sample_side)
+    )
     total0 = 0.0
     total1 = total2 = None
     pairs = ()

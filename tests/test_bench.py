@@ -213,6 +213,21 @@ class TestMatchPair:
         assert kept == [4]  # the center of the 3x3 lattice is the only full window
         assert degenerate.tolist() == [True]
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_flat_image_rows_are_degenerate(self, kind):
+        # a nonzero constant leaves scattering round-off of about 1e-17,
+        # which must not be normalized up to a unit vector
+        flat = ImageBuffer.from_array(np.full((80, 80), 0.5))
+        mcfg = MatchConfig()
+        kept, matrix, degenerate = describe(
+            flat, grid_keypoints(flat, 16, 8.0), kind,
+            mcfg.prior, mcfg.descriptor, mcfg.scattering_bank(),
+        )
+        assert len(kept) > 1
+        assert degenerate.all()
+        if kind in ("sc", "dsp-sc"):
+            assert not matrix.any()
+
     def test_brute_force_oracle_on_scale_pair(self):
         pair = make_pair(noise_base(16), SynthSpec(scale_range=(1.2, 1.2)),
                          np.random.default_rng(9), name="s12")

@@ -6,6 +6,8 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitpool import textures
 from orbitpool.descriptor import Keypoint, SizePrior
@@ -176,7 +178,7 @@ class TestScatter:
             patch = textures.filtered_noise(side, side, seed=3)
             a = scatter(patch, bank, method="fft").flatten()
             b = scatter(patch, bank, method="direct").flatten()
-            npt.assert_allclose(a, b, atol=1e-6)
+            npt.assert_allclose(a, b, atol=1e-12)
 
     def test_translation_stability(self, bank):
         base = textures.gaussian_blob(48, 48, center=(24.0, 24.0), sigma=4.0)
@@ -193,6 +195,49 @@ class TestScatter:
         s2 = scatter(half, bank).flatten()
         npt.assert_allclose(s2, 0.5 * s1, rtol=1e-9)
         npt.assert_allclose(s2 / s2.sum(), s1 / s1.sum(), rtol=1e-9)
+
+
+def small_cases(rotations=st.integers(2, 9)):
+    """(seed, height, width, scales, rotations) of a random patch and a
+    small bank; the direct path takes seconds on the default bank."""
+    return st.tuples(
+        st.integers(0, 2**32 - 1), st.integers(32, 40), st.integers(32, 40), st.sampled_from((1, 2)), rotations
+    )
+
+
+def random_case(case):
+    seed, h, w, scales, rotations = case
+    patch = ImageBuffer(np.random.default_rng(seed).random((h, w)))
+    return patch, build_filter_bank(scales=scales, rotations=rotations)
+
+
+class TestScatterProperties:
+    @settings(max_examples=15, deadline=None)
+    @given(small_cases())
+    def test_fft_equals_direct(self, case):
+        patch, bank = random_case(case)
+        a = scatter(patch, bank, method="fft")
+        b = scatter(patch, bank, method="direct")
+        npt.assert_allclose(a.flatten(), b.flatten(), rtol=0, atol=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(small_cases(st.sampled_from((2, 4, 6, 8))))
+    def test_half_turn_symmetry(self, case):
+        patch, bank = random_case(case)
+        vec = scatter(patch, bank)
+        h = bank.rotations // 2
+        npt.assert_array_equal(vec.order1[:, :h], vec.order1[:, h:])
+        npt.assert_array_equal(vec.order2[:, :h], vec.order2[:, h:])
+        npt.assert_array_equal(vec.order2[:, :, :h], vec.order2[:, :, h:])
+
+    @settings(max_examples=30, deadline=None)
+    @given(small_cases())
+    def test_first_order_is_a_prefix(self, case):
+        patch, bank = random_case(case)
+        first = scatter(patch, bank, order=1)
+        full = scatter(patch, bank, order=2)
+        assert first.order0 == full.order0
+        npt.assert_array_equal(first.order1, full.order1)
 
 
 class TestDspScatter:
