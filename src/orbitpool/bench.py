@@ -11,9 +11,7 @@ descriptor kind.
 import csv
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, TextIO, Tuple
@@ -56,18 +54,6 @@ SCATTER_FLAT_TOL = 1e-12
 _SCALE_LIMITS = (0.5, 2.0)
 _ROTATION_LIMITS = (-math.pi, math.pi)
 _CONTRAST_KINDS = ("none", "gamma", "affine", "mixed")
-
-
-def worker_count(task_count: int) -> int:
-    """Resolve the ORBITPOOL_THREADS cap; 0 or unset means auto."""
-    raw = os.environ.get("ORBITPOOL_THREADS", "0")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"ORBITPOOL_THREADS must be an integer, got {raw!r}")
-    if cap <= 0:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, task_count))
 
 
 # ---------------------------------------------------------------------------
@@ -520,9 +506,8 @@ def evaluate(
 ) -> EvalReport:
     """Match every (pair, kind) and sweep the ratio thresholds.
 
-    Work is sharded across threads (capped by ORBITPOOL_THREADS, 0 = auto)
-    and results are aggregated in sorted (pair, kind) order, so the report
-    is byte-identical regardless of scheduling.
+    Tasks run one after another in sorted (pair, kind) order, which is
+    also the order of the report's rows.
     """
     if not pairs:
         raise ValueError("need at least one pair")
@@ -539,12 +524,7 @@ def evaluate(
     tasks = sorted(
         ((p, k) for p in pairs for k in kinds), key=lambda t: (t[0].name, t[1])
     )
-    n = worker_count(len(tasks))
-    if n == 1:
-        matched = [match_pair(p, k, mcfg) for p, k in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=n) as pool:
-            matched = list(pool.map(lambda t: match_pair(t[0], t[1], mcfg), tasks))
+    matched = [match_pair(p, k, mcfg) for p, k in tasks]
 
     records: List[EvalRecord] = []
     flagged = []

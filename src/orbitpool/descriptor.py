@@ -33,6 +33,9 @@ __all__ = [
     "grid_keypoints",
     "dog_keypoints",
     "principal_orientations",
+    "window_box",
+    "accumulate_grid",
+    "normalize_grid",
     "single_size_descriptor",
     "dsp_descriptor",
     "descriptor_distance",
@@ -297,6 +300,22 @@ def _window_corners(kp: Keypoint, size: float) -> np.ndarray:
     return np.array(corners)
 
 
+def window_box(kp: Keypoint, size: float, shape: Tuple[int, int]) -> Tuple[int, int, int, int]:
+    """Inclusive pixel bounds (u0, u1, v0, v1) of a keypoint's window.
+
+    The window is the square of side ``size`` centred on the keypoint and
+    rotated by its orientation; the bounds are its bounding box on the
+    pixel lattice, clipped to an image of ``shape`` (height, width).
+    """
+    corners = _window_corners(kp, size)
+    h, w = shape
+    u0 = max(0, int(math.floor(corners[:, 0].min())))
+    u1 = min(w - 1, int(math.ceil(corners[:, 0].max())))
+    v0 = max(0, int(math.floor(corners[:, 1].min())))
+    v1 = min(h - 1, int(math.ceil(corners[:, 1].max())))
+    return u0, u1, v0, v1
+
+
 def _check_support(field: GradientField, kp: Keypoint, size: float) -> None:
     h, w = field.magnitude.shape
     corners = _window_corners(kp, size)
@@ -312,54 +331,60 @@ def _check_support(field: GradientField, kp: Keypoint, size: float) -> None:
         )
 
 
-def _accumulate_grid(field: GradientField, kp: Keypoint, size: float, cfg: DescriptorConfig) -> np.ndarray:
-    """Un-normalized C x C x B accumulation over the canonical window."""
-    _check_support(field, kp, size)
-    half = size / 2.0
-    cell = size / cfg.cells
-    h, w = field.magnitude.shape
+def accumulate_grid(
+    field: GradientField,
+    kp: Keypoint,
+    sides: Sequence[float],
+    weights: Sequence[float],
+    cfg: DescriptorConfig,
+) -> np.ndarray:
+    """Un-normalized C x C x B grid, summed over windows with the given weights.
 
-    # bounding box of the rotated window on the pixel lattice
-    corners = _window_corners(kp, size)
-    u0 = max(0, int(math.floor(corners[:, 0].min())))
-    u1 = min(w - 1, int(math.ceil(corners[:, 0].max())))
-    v0 = max(0, int(math.floor(corners[:, 1].min())))
-    v1 = min(h - 1, int(math.ceil(corners[:, 1].max())))
+    ``sides`` and ``weights`` pair up one to one.  Every window is a square
+    of one of ``sides`` in the keypoint's rotated frame, cut into the same
+    C x C cells.  A valid pixel inside a window
+    adds weight * magnitude * (Gaussian weight about its cell's centre) to
+    that cell; the grid is linear in these votes, so all cells of all
+    windows take one soft vote over the pixels of the largest window.
+    Raises SupportError when the largest window leaves the image.
+    """
+    largest = max(sides)
+    _check_support(field, kp, largest)
+    u0, u1, v0, v1 = window_box(kp, largest, field.magnitude.shape)
 
-    uu, vv = np.meshgrid(np.arange(u0, u1 + 1, dtype=float), np.arange(v0, v1 + 1, dtype=float))
-    du, dv = uu - kp.u, vv - kp.v
+    du = np.arange(u0, u1 + 1, dtype=float) - kp.u
+    dv = np.arange(v0, v1 + 1, dtype=float)[:, None] - kp.v
     c, s = math.cos(-kp.orientation), math.sin(-kp.orientation)
     ex = c * du - s * dv
     ey = s * du + c * dv
 
+    half = largest / 2.0
     sel = (np.abs(ex) <= half) & (np.abs(ey) <= half) & field.valid[v0 : v1 + 1, u0 : u1 + 1]
-    grid = np.zeros((cfg.cells, cfg.cells, cfg.bins))
-    if not sel.any():
-        return grid.ravel()
-
     ex, ey = ex[sel], ey[sel]
     mag = field.magnitude[v0 : v1 + 1, u0 : u1 + 1][sel]
     rel = np.mod(field.orientation[v0 : v1 + 1, u0 : u1 + 1][sel] - kp.orientation, 2.0 * np.pi)
 
-    cx = np.clip(np.floor((ex + half) / cell).astype(int), 0, cfg.cells - 1)
-    cy = np.clip(np.floor((ey + half) / cell).astype(int), 0, cfg.cells - 1)
+    # one row of pixel weights per cell, summed over the windows
+    votes = np.zeros((cfg.cells * cfg.cells, rel.size))
+    for side, weight in zip(sides, weights, strict=True):
+        half = side / 2.0
+        cell = side / cfg.cells
+        pix = np.flatnonzero((np.abs(ex) <= half) & (np.abs(ey) <= half))
+        wx, wy = ex[pix], ey[pix]
+        cx = np.clip(np.floor((wx + half) / cell).astype(int), 0, cfg.cells - 1)
+        cy = np.clip(np.floor((wy + half) / cell).astype(int), 0, cfg.cells - 1)
+        sigma_k = cfg.kappa_fraction * cell
+        centers = (np.arange(cfg.cells) + 0.5) * cell - half
+        dcx = wx - centers[cx]
+        dcy = wy - centers[cy]
+        votes[cy * cfg.cells + cx, pix] += (
+            weight * mag[pix] * np.exp(-0.5 * (dcx * dcx + dcy * dcy) / (sigma_k * sigma_k))
+        )
+    return soft_vote(rel, votes, cfg.kernel(), cfg.bins).ravel()
 
-    sigma_k = cfg.kappa_fraction * cell
-    centers = (np.arange(cfg.cells) + 0.5) * cell - half
-    dcx = ex - centers[cx]
-    dcy = ey - centers[cy]
-    weight = mag * np.exp(-0.5 * (dcx * dcx + dcy * dcy) / (sigma_k * sigma_k))
 
-    kernel = cfg.kernel()
-    for iy in range(cfg.cells):
-        for ix in range(cfg.cells):
-            inside = (cx == ix) & (cy == iy)
-            if inside.any():
-                grid[iy, ix] = soft_vote(rel[inside], weight[inside], kernel, cfg.bins)
-    return grid.ravel()
-
-
-def _finish(raw: np.ndarray, kp: Keypoint, cfg: DescriptorConfig) -> Descriptor:
+def normalize_grid(raw: np.ndarray, kp: Keypoint, cfg: DescriptorConfig) -> Descriptor:
+    """l1-normalize a raw grid; a zero grid gives the uniform, degenerate descriptor."""
     total = raw.sum()
     if total > 0:
         return Descriptor(raw / total, cfg.cells, cfg.bins, kp)
@@ -376,7 +401,7 @@ def single_size_descriptor(
     """Descriptor over one window of side ``size``, l1-normalized globally."""
     if not size > 0:
         raise ValueError(f"size must be positive, got {size}")
-    return _finish(_accumulate_grid(field, kp, size, cfg), kp, cfg)
+    return normalize_grid(accumulate_grid(field, kp, (size,), (1.0,), cfg), kp, cfg)
 
 
 def dsp_descriptor(
@@ -394,10 +419,7 @@ def dsp_descriptor(
     """
     sides = [m * kp.base_size * cfg.support_factor for m in prior.multipliers]
     for_each_side((kp.u, kp.v), sides, lambda side: _check_support(field, kp, side))
-    pooled = np.zeros(cfg.length)
-    for side, weight in zip(sides, prior.weights):
-        pooled += weight * _accumulate_grid(field, kp, side, cfg)
-    return _finish(pooled, kp, cfg)
+    return normalize_grid(accumulate_grid(field, kp, sides, prior.weights, cfg), kp, cfg)
 
 
 # ---------------------------------------------------------------------------

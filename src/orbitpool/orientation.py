@@ -139,16 +139,25 @@ def soft_vote(orientations, weights, kernel: CircularKernel, bins: int) -> np.nd
     Each sample with orientation ``a`` and weight ``w`` adds
     ``w * kernel(center_b - a)`` to every bin ``b``.  Returns the raw
     (un-normalized) bin masses.
+
+    ``weights`` may also be an ``(m, n)`` matrix over ``n`` samples: row
+    ``i`` is then one histogram's weights, and the result is the
+    ``(m, bins)`` array whose row ``i`` equals ``soft_vote(orientations,
+    weights[i], kernel, bins)``.  The kernel is evaluated once for all
+    rows, so histograms that share samples (the cells and window sizes of
+    one descriptor) cost one evaluation.
     """
     orientations = np.asarray(orientations, dtype=float).ravel()
-    weights = np.asarray(weights, dtype=float).ravel()
-    if orientations.shape != weights.shape:
+    weights = np.asarray(weights, dtype=float)
+    if weights.ndim != 2:
+        weights = weights.ravel()
+    if weights.shape[-1] != orientations.size:
         raise ValueError("orientations and weights must have the same length")
     centers = bin_centers(bins)
     if orientations.size == 0:
-        return np.zeros(bins)
+        return np.zeros(weights.shape[:-1] + (bins,))
     delta = centers[:, None] - orientations[None, :]
-    return kernel(delta) @ weights
+    return (kernel(delta) @ weights.T).T
 
 
 def pixel_likelihood(

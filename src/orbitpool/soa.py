@@ -26,10 +26,10 @@ from .descriptor import (
     Descriptor,
     DescriptorConfig,
     Keypoint,
-    _accumulate_grid,
-    _finish,
-    _window_corners,
+    accumulate_grid,
+    normalize_grid,
     read_rows,
+    window_box,
     write_rows,
 )
 
@@ -135,12 +135,7 @@ def _warped_keypoint(kp: Keypoint, g: SimilarityTransform, center) -> Keypoint:
 
 
 def _require_covered(mask: np.ndarray, kp: Keypoint, size: float) -> None:
-    corners = _window_corners(kp, size)
-    h, w = mask.shape
-    u0 = max(0, int(math.floor(corners[:, 0].min())))
-    u1 = min(w - 1, int(math.ceil(corners[:, 0].max())))
-    v0 = max(0, int(math.floor(corners[:, 1].min())))
-    v1 = min(h - 1, int(math.ceil(corners[:, 1].max())))
+    u0, u1, v0, v1 = window_box(kp, size, mask.shape)
     if not mask[v0 : v1 + 1, u0 : u1 + 1].all():
         raise SupportError(
             f"warped support at ({kp.u:.1f}, {kp.v:.1f}) leaves the image domain"
@@ -172,8 +167,8 @@ def build_template(
             warped, mask = warp(img, composed)
             moved = _warped_keypoint(kp, composed, center)
             _require_covered(mask, moved, size)
-            pooled += weight * _accumulate_grid(compute_gradients(warped), moved, size, cfg)
-        descriptors.append(_finish(pooled, kp, cfg))
+            pooled += accumulate_grid(compute_gradients(warped), moved, (size,), (weight,), cfg)
+        descriptors.append(normalize_grid(pooled, kp, cfg))
     return TemplateModel(source, tuple(descriptors), samples)
 
 

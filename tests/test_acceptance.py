@@ -29,7 +29,7 @@ from orbitpool.descriptor import (
     DescriptorConfig,
     Keypoint,
     SizePrior,
-    _accumulate_grid,
+    accumulate_grid,
     dsp_descriptor,
     single_size_descriptor,
 )
@@ -140,7 +140,7 @@ class TestAcceptance:
             kp = Keypoint(31.5, 31.5, 6.0)
             cfg = DescriptorConfig()
 
-            pre_single = _accumulate_grid(field, kp, kp.base_size * cfg.support_factor, cfg)
+            pre_single = accumulate_grid(field, kp, (kp.base_size * cfg.support_factor,), (1.0,), cfg)
             pre_pooled = 1.0 * pre_single
             if pre_single.tobytes() != pre_pooled.tobytes():
                 ok = False

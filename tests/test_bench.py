@@ -19,7 +19,6 @@ from orbitpool.bench import (
     match_pair,
     save_pair,
     synth_pairs,
-    worker_count,
 )
 from orbitpool.descriptor import Keypoint, dsp_descriptor, grid_keypoints
 from orbitpool.image import ImageBuffer, SimilarityTransform, compute_gradients
@@ -353,12 +352,11 @@ class TestEvaluate:
         keys = [(r.pair, r.kind, r.threshold) for r in report.records]
         assert keys == sorted(keys)
 
-    def test_byte_identical_reports(self, monkeypatch):
+    def test_byte_identical_reports(self):
         pairs = synth_pairs([noise_base(23), noise_base(24)],
                             SynthSpec(scale_range=(0.8, 1.3), occlusion=0.15), seed=7)
         outs = []
-        for threads in ("1", "3"):
-            monkeypatch.setenv("ORBITPOOL_THREADS", threads)
+        for _ in range(2):
             report = evaluate(pairs, ["sift", "dsp-sift"])
             buf = io.StringIO()
             report.write_csv(buf)
@@ -373,23 +371,3 @@ class TestEvaluate:
         buf = io.StringIO()
         report.write_csv(buf)
         assert text == buf.getvalue()
-
-
-class TestWorkerCount:
-    def test_auto_when_unset(self, monkeypatch):
-        monkeypatch.delenv("ORBITPOOL_THREADS", raising=False)
-        assert worker_count(100) >= 1
-
-    def test_explicit_cap(self, monkeypatch):
-        monkeypatch.setenv("ORBITPOOL_THREADS", "3")
-        assert worker_count(100) == 3
-        assert worker_count(2) == 2
-
-    def test_zero_means_auto(self, monkeypatch):
-        monkeypatch.setenv("ORBITPOOL_THREADS", "0")
-        assert worker_count(10) >= 1
-
-    def test_garbage_rejected(self, monkeypatch):
-        monkeypatch.setenv("ORBITPOOL_THREADS", "many")
-        with pytest.raises(ValueError):
-            worker_count(4)

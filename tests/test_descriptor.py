@@ -7,6 +7,8 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitpool import textures
 from orbitpool.descriptor import (
@@ -14,7 +16,7 @@ from orbitpool.descriptor import (
     DescriptorConfig,
     Keypoint,
     SizePrior,
-    _accumulate_grid,
+    accumulate_grid,
     descriptor_distance,
     detect_keypoints,
     dog_keypoints,
@@ -264,7 +266,7 @@ class TestDspDescriptor:
         single = single_size_descriptor(f, kp, 12.0)
         pooled = dsp_descriptor(f, kp, SizePrior.delta(1.0))
         npt.assert_array_equal(pooled.values, single.values)
-        raw_a = _accumulate_grid(f, kp, 12.0, DescriptorConfig())
+        raw_a = accumulate_grid(f, kp, (12.0,), (1.0,), DescriptorConfig())
         raw_b = 1.0 * raw_a
         npt.assert_array_equal(raw_a, raw_b)
 
@@ -280,8 +282,8 @@ class TestDspDescriptor:
         f = compute_gradients(textures.ramp(41, 41, angle=1.0))
         kp = Keypoint(20.0, 20.0, 4.0)
         pooled = dsp_descriptor(f, kp, SizePrior.uniform((0.8, 1.2)), cfg)
-        raw = 0.5 * _accumulate_grid(f, kp, 0.8 * 12.0, cfg) + 0.5 * _accumulate_grid(
-            f, kp, 1.2 * 12.0, cfg
+        raw = 0.5 * accumulate_grid(f, kp, (0.8 * 12.0,), (1.0,), cfg) + 0.5 * accumulate_grid(
+            f, kp, (1.2 * 12.0,), (1.0,), cfg
         )
         npt.assert_allclose(pooled.values, raw / raw.sum(), atol=1e-9)
 
@@ -308,6 +310,94 @@ class TestDspDescriptor:
             raw = apply_contrast_raw(img, AffineContrast(gain, offset))
             d = dsp_descriptor(gradient_field_of_array(raw), kp)
             npt.assert_allclose(d.values, base.values, rtol=1e-6)
+
+
+SIDE = 32
+CLEAN_SEEDS = clean_noise_seeds(8, side=SIDE)
+
+
+def pixel_loop_grid(field, kp, sides, weights, cfg):
+    """Scalar re-accumulation of the prior-weighted grid, pixel by pixel."""
+    C, B = cfg.cells, cfg.bins
+    eps = 2 * math.pi / B
+    c, s = math.cos(-kp.orientation), math.sin(-kp.orientation)
+    grid = np.zeros(C * C * B)
+    h, w = field.magnitude.shape
+    for v in range(h):
+        for u in range(w):
+            if not field.valid[v, u]:
+                continue
+            du, dv = u - kp.u, v - kp.v
+            ex, ey = c * du - s * dv, s * du + c * dv
+            rel = (field.orientation[v, u] - kp.orientation) % (2 * math.pi)
+            kernel = None
+            for side, weight in zip(sides, weights):
+                half, cell = side / 2.0, side / C
+                if abs(ex) > half or abs(ey) > half:
+                    continue
+                if kernel is None:
+                    kernel = np.array(
+                        [wrapped_gaussian_oracle(2 * math.pi * b / B - rel, eps, wraps=2) for b in range(B)]
+                    )
+                cx = min(C - 1, max(0, int(math.floor((ex + half) / cell))))
+                cy = min(C - 1, max(0, int(math.floor((ey + half) / cell))))
+                ox = ex - ((cx + 0.5) * cell - half)
+                oy = ey - ((cy + 0.5) * cell - half)
+                sigma_k = cfg.kappa_fraction * cell
+                mass = weight * field.magnitude[v, u] * math.exp(-0.5 * (ox * ox + oy * oy) / (sigma_k * sigma_k))
+                start = (cy * C + cx) * B
+                grid[start : start + B] += mass * kernel
+    return grid
+
+
+@st.composite
+def keypoints_and_priors(draw):
+    """A keypoint whose largest rotated window fits a SIDE x SIDE image,
+    with a 1-3 sample size prior around it."""
+    base = draw(st.floats(1.5, 3.0))
+    mults = draw(st.lists(st.floats(0.6, 1.4), min_size=1, max_size=3))
+    weights = draw(st.lists(st.floats(0.1, 1.0), min_size=len(mults), max_size=len(mults)))
+    prior = SizePrior(tuple(zip(mults, weights)))
+    reach = max(prior.multipliers) * base * DescriptorConfig().support_factor / math.sqrt(2.0)
+    u, v = (draw(st.floats(reach + 1.0, SIDE - 2.0 - reach)) for _ in range(2))
+    orientation = draw(st.floats(0.0, 2 * math.pi, exclude_max=True))
+    return Keypoint(u, v, base, orientation), prior
+
+
+class TestDescriptorProperties:
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2**32 - 1), keypoints_and_priors())
+    def test_pixel_loop_oracle(self, seed, case):
+        kp, prior = case
+        cfg = DescriptorConfig()
+        f = compute_gradients(textures.filtered_noise(SIDE, SIDE, seed=seed))
+        sides = [m * kp.base_size * cfg.support_factor for m in prior.multipliers]
+        pooled = pixel_loop_grid(f, kp, sides, prior.weights, cfg)
+        npt.assert_allclose(dsp_descriptor(f, kp, prior, cfg).values, pooled / pooled.sum(), rtol=0, atol=1e-12)
+        single = pixel_loop_grid(f, kp, sides[-1:], (1.0,), cfg)
+        got = single_size_descriptor(f, kp, sides[-1], cfg).values
+        npt.assert_allclose(got, single / single.sum(), rtol=0, atol=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), keypoints_and_priors())
+    def test_delta_prior_is_bit_exact(self, seed, case):
+        kp, prior = case
+        cfg = DescriptorConfig()
+        f = compute_gradients(textures.filtered_noise(SIDE, SIDE, seed=seed))
+        m = prior.multipliers[-1]
+        pooled = dsp_descriptor(f, kp, SizePrior.delta(m), cfg)
+        single = single_size_descriptor(f, kp, m * kp.base_size * cfg.support_factor, cfg)
+        npt.assert_array_equal(pooled.values, single.values)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(CLEAN_SEEDS), keypoints_and_priors(), st.floats(0.5, 2.0), st.floats(-0.5, 0.5))
+    def test_affine_contrast_exact(self, seed, case, gain, offset):
+        kp, prior = case
+        img = textures.filtered_noise(SIDE, SIDE, seed=seed)
+        base = dsp_descriptor(compute_gradients(img), kp, prior)
+        raw = apply_contrast_raw(img, AffineContrast(gain, offset))
+        mapped = dsp_descriptor(gradient_field_of_array(raw), kp, prior)
+        npt.assert_allclose(mapped.values, base.values, rtol=0, atol=1e-12)
 
 
 class TestRotationCanonization:

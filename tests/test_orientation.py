@@ -263,6 +263,19 @@ class TestHelpers:
         ]
         npt.assert_allclose(got, expected, rtol=1e-9)
 
+    def test_soft_vote_matrix_rows(self):
+        rng = np.random.default_rng(6)
+        oris = rng.uniform(0, 2 * np.pi, 40)
+        weights = rng.uniform(0, 1, (5, 40))
+        k = CircularKernel(0.5)
+        got = soft_vote(oris, weights, k, 8)
+        assert got.shape == (5, 8)
+        for row, w in zip(got, weights):
+            npt.assert_allclose(row, soft_vote(oris, w, k, 8), rtol=0, atol=1e-12)
+        npt.assert_array_equal(soft_vote([], np.zeros((5, 0)), k, 8), np.zeros((5, 8)))
+        with pytest.raises(ValueError):
+            soft_vote(oris, weights[:, 1:], k, 8)
+
     def test_bin_centers(self):
         npt.assert_allclose(bin_centers(4), [0.0, np.pi / 2, np.pi, 3 * np.pi / 2])
 

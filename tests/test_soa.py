@@ -12,7 +12,7 @@ from orbitpool.descriptor import (
     Descriptor,
     DescriptorConfig,
     Keypoint,
-    _accumulate_grid,
+    accumulate_grid,
     single_size_descriptor,
 )
 from orbitpool.image import SimilarityTransform, SupportError, compute_gradients, warp
@@ -101,7 +101,7 @@ class TestBuildTemplate:
         raws = []
         for g, _ in cloud:
             warped, _ = warp(img, g)
-            raws.append(_accumulate_grid(compute_gradients(warped), CENTER_KP, SIZE, cfg))
+            raws.append(accumulate_grid(compute_gradients(warped), CENTER_KP, (SIZE,), (1.0,), cfg))
         expected = 0.5 * raws[0] + 0.5 * raws[1]
         npt.assert_allclose(t.descriptors[0].values, expected / expected.sum(), atol=1e-9)
 
