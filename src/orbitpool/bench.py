@@ -12,7 +12,7 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, TextIO, Tuple
 
@@ -25,7 +25,6 @@ from .descriptor import (
     SizePrior,
     dsp_descriptor,
     grid_keypoints,
-    single_size_descriptor,
 )
 from .image import (
     AffineContrast,
@@ -323,31 +322,31 @@ def describe(
 
     Returns the indices of the kept keypoints, their descriptor matrix,
     and a per-row degenerate flag.  Keypoints whose window leaves the
-    image are dropped.  ``sift`` reads one window of side base_size *
-    support_factor and ``dsp-sift`` pools over ``prior``; ``sc`` scatters
-    under the delta prior and ``dsp-sc`` under ``prior``.  A histogram is
-    degenerate when its window has no gradient mass, a scattering row
-    when the norm of its wavelet coefficients is at most
+    image are dropped.  Histogram kinds go through ``dsp_descriptor`` and
+    scattering kinds through ``dsp_scatter``, both at window side
+    multiplier * base_size * ``cfg.support_factor``: ``sift`` and ``sc``
+    under the delta prior, ``dsp-sift`` and ``dsp-sc`` under ``prior``.
+    A histogram is degenerate when its window has no gradient mass, a
+    scattering row when the norm of its wavelet coefficients is at most
     ``SCATTER_FLAT_TOL`` times its order-0 mean; such a row is all zeros.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown descriptor kind {kind!r}, expected one of {KINDS}")
-    if kind in ("sift", "dsp-sift"):
+    histogram = kind in ("sift", "dsp-sift")
+    if histogram:
         fld = compute_gradients(img)
-    if kind == "sc":
+    if kind in ("sift", "sc"):
         prior = SizePrior.delta()
     kept, rows, degenerate = [], [], []
     for i, kp in enumerate(keypoints):
         try:
-            if kind == "sift":
-                d = single_size_descriptor(fld, kp, kp.base_size * cfg.support_factor, cfg)
-            elif kind == "dsp-sift":
+            if histogram:
                 d = dsp_descriptor(fld, kp, prior, cfg)
             else:
-                vec = dsp_scatter(img, kp, prior, bank=bank)
+                vec = dsp_scatter(img, kp, prior, bank, cfg.support_factor)
         except SupportError:
             continue
-        if kind in ("sc", "dsp-sc"):
+        if not histogram:
             # order 0 is the local mean: brightness, not structure.  It
             # dominates the raw norm, so drop it and l2-normalize the
             # wavelet orders before euclidean matching, unless all they

@@ -26,7 +26,8 @@ from .descriptor import (
     DescriptorConfig,
     Keypoint,
     SizePrior,
-    detect_keypoints,
+    dog_keypoints,
+    grid_keypoints,
     single_size_descriptor,
     write_rows,
 )
@@ -128,10 +129,7 @@ def _cmd_describe(args) -> int:
         raise ValueError(f"--sizes sets the pooling prior of dsp-sift and dsp-sc, not of {args.kind}")
     img = load_image(args.image)
     cfg = DescriptorConfig(cells=args.cells, bins=args.bins)
-    if args.dog:
-        kps = detect_keypoints(img, "dog")
-    else:
-        kps = detect_keypoints(img, "grid", stride=16, base_size=8.0)
+    kps = dog_keypoints(img) if args.dog else grid_keypoints(img, stride=16, base_size=8.0)
     prior = SizePrior.uniform(args.sizes) if args.sizes else SizePrior.default()
     kept, matrix, degenerate = describe(img, kps, args.kind, prior, cfg, build_filter_bank())
     if not kept:

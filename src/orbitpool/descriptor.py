@@ -21,7 +21,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, TextIO, Tu
 import numpy as np
 from scipy import ndimage
 
-from .image import GradientField, ImageBuffer, SupportError, for_each_side, gaussian_blur
+from .image import GradientField, ImageBuffer, SupportError, gaussian_blur
 from .orientation import CircularKernel, SpatialKernel, pooled_histogram, soft_vote
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "SizePrior",
     "Descriptor",
     "DescriptorConfig",
-    "detect_keypoints",
     "grid_keypoints",
     "dog_keypoints",
     "principal_orientations",
@@ -41,8 +40,6 @@ __all__ = [
     "descriptor_distance",
     "write_rows",
     "read_rows",
-    "dump_descriptors",
-    "read_descriptors",
 ]
 
 
@@ -236,15 +233,6 @@ def dog_keypoints(img: ImageBuffer, levels: int = 4, threshold: float = 0.01) ->
     return keypoints
 
 
-def detect_keypoints(img: ImageBuffer, mode: str = "grid", **params) -> List[Keypoint]:
-    """Dispatch to a detection mode: 'grid' or 'dog'."""
-    if mode == "grid":
-        return grid_keypoints(img, **params)
-    if mode == "dog":
-        return dog_keypoints(img, **params)
-    raise ValueError(f"unknown detection mode {mode!r}")
-
-
 # ---------------------------------------------------------------------------
 # canonization
 
@@ -291,13 +279,14 @@ def principal_orientations(
 # extraction
 
 
-def _window_corners(kp: Keypoint, size: float) -> np.ndarray:
+def _window_extent(kp: Keypoint, size: float) -> Tuple[float, float, float, float]:
+    """Least and greatest u, then v, over the corners of the keypoint's window."""
     half = size / 2.0
     c, s = math.cos(kp.orientation), math.sin(kp.orientation)
-    corners = []
-    for ex, ey in ((-half, -half), (half, -half), (-half, half), (half, half)):
-        corners.append((kp.u + c * ex - s * ey, kp.v + s * ex + c * ey))
-    return np.array(corners)
+    corners = ((-half, -half), (half, -half), (-half, half), (half, half))
+    us = [kp.u + c * ex - s * ey for ex, ey in corners]
+    vs = [kp.v + s * ex + c * ey for ex, ey in corners]
+    return min(us), max(us), min(vs), max(vs)
 
 
 def window_box(kp: Keypoint, size: float, shape: Tuple[int, int]) -> Tuple[int, int, int, int]:
@@ -307,27 +296,33 @@ def window_box(kp: Keypoint, size: float, shape: Tuple[int, int]) -> Tuple[int, 
     rotated by its orientation; the bounds are its bounding box on the
     pixel lattice, clipped to an image of ``shape`` (height, width).
     """
-    corners = _window_corners(kp, size)
+    umin, umax, vmin, vmax = _window_extent(kp, size)
     h, w = shape
-    u0 = max(0, int(math.floor(corners[:, 0].min())))
-    u1 = min(w - 1, int(math.ceil(corners[:, 0].max())))
-    v0 = max(0, int(math.floor(corners[:, 1].min())))
-    v1 = min(h - 1, int(math.ceil(corners[:, 1].max())))
-    return u0, u1, v0, v1
+    return (
+        max(0, math.floor(umin)),
+        min(w - 1, math.ceil(umax)),
+        max(0, math.floor(vmin)),
+        min(h - 1, math.ceil(vmax)),
+    )
 
 
-def _check_support(field: GradientField, kp: Keypoint, size: float) -> None:
+def _check_support(field: GradientField, kp: Keypoint, sides: Sequence[float]) -> None:
+    """Raise one SupportError naming every side whose window leaves the image.
+
+    The windows are concentric squares at one rotation, so none leaves
+    unless the largest does.
+    """
     h, w = field.magnitude.shape
-    corners = _window_corners(kp, size)
-    if (
-        corners[:, 0].min() < 0
-        or corners[:, 0].max() > w - 1
-        or corners[:, 1].min() < 0
-        or corners[:, 1].max() > h - 1
-    ):
+
+    def leaves(side):
+        umin, umax, vmin, vmax = _window_extent(kp, side)
+        return umin < 0 or umax > w - 1 or vmin < 0 or vmax > h - 1
+
+    if leaves(max(sides)):
+        bad = ", ".join(f"{side:.2f}" for side in sides if leaves(side))
         raise SupportError(
-            f"window of side {size:.2f} at ({kp.u:.1f}, {kp.v:.1f}) "
-            f"rotated by {kp.orientation:.3f} exceeds the {w}x{h} image"
+            f"window sides out of bounds at ({kp.u:.1f}, {kp.v:.1f}) "
+            f"rotated by {kp.orientation:.3f} in the {w}x{h} image: {bad}"
         )
 
 
@@ -346,10 +341,11 @@ def accumulate_grid(
     adds weight * magnitude * (Gaussian weight about its cell's centre) to
     that cell; the grid is linear in these votes, so all cells of all
     windows take one soft vote over the pixels of the largest window.
-    Raises SupportError when the largest window leaves the image.
+    This is the one support check of every descriptor: when the largest
+    window leaves the image, one SupportError lists each side that does.
     """
+    _check_support(field, kp, sides)
     largest = max(sides)
-    _check_support(field, kp, largest)
     u0, u1, v0, v1 = window_box(kp, largest, field.magnitude.shape)
 
     du = np.arange(u0, u1 + 1, dtype=float) - kp.u
@@ -414,16 +410,17 @@ def dsp_descriptor(
 
     Each sample's window side is multiplier * base_size * support_factor;
     all samples share the C x C cell grid, so the average is bin-wise
-    meaningful.  Any window that does not fit raises with the offending
-    sizes listed.
+    meaningful.  ``accumulate_grid`` checks the support and lists every
+    side whose window does not fit.  Under ``SizePrior.delta()`` this is
+    bit-identical to ``single_size_descriptor`` at side base_size *
+    support_factor.
     """
     sides = [m * kp.base_size * cfg.support_factor for m in prior.multipliers]
-    for_each_side((kp.u, kp.v), sides, lambda side: _check_support(field, kp, side))
     return normalize_grid(accumulate_grid(field, kp, sides, prior.weights, cfg), kp, cfg)
 
 
 # ---------------------------------------------------------------------------
-# comparison and dumping
+# comparison and row I/O
 
 
 def descriptor_distance(a: Descriptor, b: Descriptor, metric: str = "euclidean") -> float:
@@ -476,21 +473,3 @@ def read_rows(stream: TextIO) -> Tuple[Dict[str, str], List[Tuple[Keypoint, bool
         kp = Keypoint(float(line[0]), float(line[1]), float(line[2]), float(line[3]))
         rows.append((kp, bool(int(line[4])), np.array([float(x) for x in line[5:]])))
     return fields, rows
-
-
-def dump_descriptors(
-    descriptors: Iterable[Descriptor],
-    out: TextIO,
-    cfg: DescriptorConfig = DescriptorConfig(),
-    metric: str = "bhattacharyya",
-) -> None:
-    """Write descriptors through write_rows under a grid-shape header."""
-    header = {"cells": cfg.cells, "bins": cfg.bins, "metric": metric}
-    write_rows(out, header, ((d.keypoint, d.degenerate, d.values) for d in descriptors))
-
-
-def read_descriptors(stream: TextIO) -> List[Descriptor]:
-    """Parse the CSV format written by dump_descriptors."""
-    fields, rows = read_rows(stream)
-    cells, bins = int(fields["cells"]), int(fields["bins"])
-    return [Descriptor(values, cells, bins, kp, flag) for kp, flag, values in rows]

@@ -104,14 +104,6 @@ class GradientField:
             arr = getattr(self, name)
             arr.setflags(write=False)
 
-    @property
-    def width(self):
-        return self.magnitude.shape[1]
-
-    @property
-    def height(self):
-        return self.magnitude.shape[0]
-
 
 @dataclass(frozen=True)
 class SimilarityTransform:
@@ -204,30 +196,6 @@ class GammaContrast(ContrastMap):
 
     def apply(self, values):
         return np.power(np.clip(np.asarray(values, dtype=np.float64), 0.0, 1.0), self.gamma)
-
-
-@dataclass(frozen=True)
-class TableContrast(ContrastMap):
-    """Piecewise-linear lookup through >= 2 nondecreasing entries.
-
-    Entry ``k`` of ``n`` sits at input ``k / (n - 1)``; values in between
-    interpolate linearly.
-    """
-
-    entries: tuple
-
-    def __post_init__(self):
-        entries = tuple(float(e) for e in self.entries)
-        if len(entries) < 2:
-            raise ValueError("lookup table needs at least 2 entries")
-        if any(b < a for a, b in zip(entries, entries[1:])):
-            raise ValueError("lookup table entries must be nondecreasing")
-        object.__setattr__(self, "entries", entries)
-
-    def apply(self, values):
-        x = np.clip(np.asarray(values, dtype=np.float64), 0.0, 1.0)
-        grid = np.linspace(0.0, 1.0, len(self.entries))
-        return np.interp(x, grid, np.asarray(self.entries))
 
 
 def apply_contrast(img, cmap):
@@ -391,8 +359,8 @@ def for_each_side(center, sides, fn):
 
     Every side whose ``fn`` raises ``SupportError`` is collected, and one
     ``SupportError`` naming the center and all of those sides is raised.
-    Pooled descriptors use this so one message lists each window of the
-    size prior that leaves the image.
+    ``dsp_scatter`` uses this so one message lists each patch of the size
+    prior that leaves the image.
     """
     out, bad = [], []
     for side in sides:

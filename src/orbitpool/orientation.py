@@ -12,10 +12,9 @@ magnitude rescaling cancels exactly.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence, TextIO, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -26,12 +25,9 @@ __all__ = [
     "SpatialKernel",
     "OrientationHistogram",
     "bin_centers",
-    "kernel_eval",
-    "pixel_likelihood",
     "pooled_histogram",
     "normalize",
     "soft_vote",
-    "dump_histograms",
 ]
 
 
@@ -74,11 +70,6 @@ class CircularKernel:
             z = (delta + two_pi * k) * inv
             total = total + np.exp(-0.5 * z * z)
         return total * norm
-
-
-def kernel_eval(kernel: CircularKernel, delta):
-    """Evaluate the circular kernel at an angular offset (radians)."""
-    return kernel(delta)
 
 
 @dataclass(frozen=True)
@@ -160,27 +151,6 @@ def soft_vote(orientations, weights, kernel: CircularKernel, bins: int) -> np.nd
     return (kernel(delta) @ weights.T).T
 
 
-def pixel_likelihood(
-    field: GradientField,
-    pixel: Tuple[int, int],
-    alpha: float,
-    kernel: CircularKernel,
-) -> float:
-    """Orientation likelihood contribution of one pixel.
-
-    ``pixel`` is a (u, v) integer pair.  Invalid pixels (magnitude below
-    threshold or on the border) contribute zero.
-    """
-    u, v = int(pixel[0]), int(pixel[1])
-    h, w = field.magnitude.shape
-    if not (0 <= u < w and 0 <= v < h):
-        raise IndexError(f"pixel ({u}, {v}) outside {w}x{h} field")
-    if not field.valid[v, u]:
-        return 0.0
-    delta = alpha - field.orientation[v, u]
-    return float(kernel(delta) * field.magnitude[v, u])
-
-
 def pooled_histogram(
     field: GradientField,
     center: Tuple[float, float],
@@ -238,15 +208,3 @@ def normalize(hist: OrientationHistogram) -> OrientationHistogram:
         return OrientationHistogram(hist.bins / s, hist.total_mass, hist.degenerate)
     uniform = np.full(hist.size, 1.0 / hist.size)
     return OrientationHistogram(uniform, hist.total_mass, True)
-
-
-def dump_histograms(
-    entries: Iterable[Tuple[Sequence[float], OrientationHistogram]],
-    out: TextIO,
-) -> None:
-    """Write (center, histogram) pairs as CSV rows: center_u, center_v, b0.."""
-    writer = csv.writer(out, lineterminator="\n")
-    for center, hist in entries:
-        row = [f"{float(center[0])!r}", f"{float(center[1])!r}"]
-        row.extend(repr(float(b)) for b in hist.bins)
-        writer.writerow(row)

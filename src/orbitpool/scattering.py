@@ -17,10 +17,9 @@ is used for larger patches and must agree with the direct path.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, TextIO, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 from scipy import ndimage
@@ -34,8 +33,11 @@ __all__ = [
     "build_filter_bank",
     "scatter",
     "dsp_scatter",
-    "dump_scattering",
 ]
+
+#: Side in pixels that ``dsp_scatter`` resamples every window to, so the
+#: vectors of all window sizes share one index set.
+SAMPLE_SIDE = 32
 
 
 @dataclass(frozen=True)
@@ -282,50 +284,27 @@ def dsp_scatter(
     kp: Keypoint,
     prior: SizePrior = SizePrior.default(),
     bank: Optional[FilterBank] = None,
-    order: int = 2,
     support_factor: float = 3.0,
-    sample_side: int = 32,
-    method: str = "auto",
 ) -> ScatteringVector:
     """Average scattering vectors over the size prior.
 
     Each prior sample selects a window of side multiplier * base_size *
-    support_factor around the keypoint; windows are resampled to a common
-    ``sample_side`` so coefficient vectors share an index set, then
-    averaged coefficient-wise with the prior weights.
+    support_factor around the keypoint; windows are resampled to
+    ``SAMPLE_SIDE`` px so coefficient vectors share an index set, then
+    averaged coefficient-wise with the prior weights.  Any window that
+    does not fit raises with the offending sides listed.
     """
     if bank is None:
         bank = build_filter_bank()
     sides = [m * kp.base_size * support_factor for m in prior.multipliers]
     patches = for_each_side(
-        (kp.u, kp.v), sides, lambda side: extract_patch(img, (kp.u, kp.v), side, sample_side)
+        (kp.u, kp.v), sides, lambda side: extract_patch(img, (kp.u, kp.v), side, SAMPLE_SIDE)
     )
-    total0 = 0.0
-    total1 = total2 = None
-    pairs = ()
-    for patch, weight in zip(patches, prior.weights):
-        vec = scatter(patch, bank, order=order, method=method)
-        if total1 is None:
-            total1 = weight * vec.order1
-            total2 = weight * vec.order2
-            pairs = vec.pairs
-        else:
-            total1 = total1 + weight * vec.order1
-            total2 = total2 + weight * vec.order2
-        total0 += weight * vec.order0
-    return ScatteringVector(total0, total1, total2, pairs)
-
-
-def dump_scattering(vec: ScatteringVector, out: TextIO) -> None:
-    """One CSV row per path: order, scale/rotation indices, value."""
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["order", "j1", "l1", "j2", "l2", "value"])
-    writer.writerow(["0", "", "", "", "", repr(vec.order0)])
-    J, L = vec.order1.shape
-    for j in range(J):
-        for l in range(L):
-            writer.writerow(["1", j, l, "", "", repr(float(vec.order1[j, l]))])
-    for p, (j1, j2) in enumerate(vec.pairs):
-        for l1 in range(L):
-            for l2 in range(L):
-                writer.writerow(["2", j1, l1, j2, l2, repr(float(vec.order2[p, l1, l2]))])
+    vecs = [scatter(patch, bank) for patch in patches]
+    weighted = list(zip(prior.weights, vecs))
+    return ScatteringVector(
+        sum(w * vec.order0 for w, vec in weighted),
+        sum(w * vec.order1 for w, vec in weighted),
+        sum(w * vec.order2 for w, vec in weighted),
+        vecs[0].pairs,
+    )

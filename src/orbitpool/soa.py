@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, TextIO, Tuple
+from typing import Optional, TextIO, Tuple
 
 import numpy as np
 
@@ -63,6 +63,15 @@ def perturbation_grid(rotation_delta: float = 0.1, log_scale_delta: float = 0.1)
     return tuple(out)
 
 
+def _named_cloud(anti_alias: str) -> Perturbations:
+    """The perturbation cloud named 'grid' (``perturbation_grid``) or 'delta'."""
+    if anti_alias == "grid":
+        return perturbation_grid()
+    if anti_alias == "delta":
+        return delta_perturbation()
+    raise ValueError(f"anti_alias must be 'grid' or 'delta', got {anti_alias!r}")
+
+
 @dataclass(frozen=True)
 class GroupSampleSet:
     """Transform samples plus a normalized perturbation cloud per sample."""
@@ -96,14 +105,14 @@ class GroupSampleSet:
         """Rotations by 2*pi*k/count about the image center."""
         if count < 1:
             raise ValueError("count must be >= 1")
-        cloud = perturbation_grid() if anti_alias == "grid" else delta_perturbation()
+        cloud = _named_cloud(anti_alias)
         samples = tuple(SimilarityTransform(rotation=2.0 * np.pi * k / count) for k in range(count))
         return cls(samples, (cloud,) * count)
 
     @classmethod
     def default(cls, anti_alias: str = "grid") -> "GroupSampleSet":
         """Four rotations crossed with three log-spaced scales (N = 12)."""
-        cloud = perturbation_grid() if anti_alias == "grid" else delta_perturbation()
+        cloud = _named_cloud(anti_alias)
         samples = []
         for k in range(4):
             for s in (2.0**-0.5, 1.0, 2.0**0.5):

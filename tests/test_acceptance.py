@@ -49,7 +49,6 @@ from orbitpool.orientation import (
     CircularKernel,
     SpatialKernel,
     bin_centers,
-    kernel_eval,
     normalize,
     pooled_histogram,
 )
@@ -209,7 +208,7 @@ class TestAcceptance:
             worst_mass = max(worst_mass, abs(mass - 1.0))
             for delta in np.linspace(-np.pi, np.pi, 17):
                 ref = wrapped_gaussian_oracle(delta, eps, wraps=50)
-                worst_trunc = max(worst_trunc, abs(kernel_eval(kern, delta) - ref))
+                worst_trunc = max(worst_trunc, abs(kern(delta) - ref))
         ok = worst_mass < 1e-6 and worst_trunc < 1e-6
         _report(
             "wrapped gaussian kernel (unit mass, 5 vs 50 wraps, 1e-6)",

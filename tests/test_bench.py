@@ -20,7 +20,7 @@ from orbitpool.bench import (
     save_pair,
     synth_pairs,
 )
-from orbitpool.descriptor import Keypoint, dsp_descriptor, grid_keypoints
+from orbitpool.descriptor import DescriptorConfig, Keypoint, SizePrior, dsp_descriptor, grid_keypoints
 from orbitpool.image import ImageBuffer, SimilarityTransform, compute_gradients
 from orbitpool import textures
 
@@ -211,6 +211,23 @@ class TestMatchPair:
         )
         assert kept == [4]  # the center of the 3x3 lattice is the only full window
         assert degenerate.tolist() == [True]
+
+    def test_support_factor_sets_the_window_of_every_kind(self):
+        # sift and sc read the same window side, base_size * support_factor,
+        # so a smaller factor keeps the same extra keypoints near the border
+        img = textures.benchmark_bases(2)[1]
+        mcfg = MatchConfig()
+        kps = grid_keypoints(img, mcfg.stride, mcfg.base_size)
+        counts = []
+        for factor in (2.0, 3.0):
+            cfg = DescriptorConfig(support_factor=factor)
+            sift, sc = (
+                describe(img, kps, kind, SizePrior.delta(), cfg, mcfg.scattering_bank())[0]
+                for kind in ("sift", "sc")
+            )
+            assert sc == sift
+            counts.append(len(sc))
+        assert counts == [49, 36]
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_flat_image_rows_are_degenerate(self, kind):

@@ -4,7 +4,7 @@ import pytest
 
 from orbitpool.bench import KINDS, MatchConfig, describe
 from orbitpool.cli import main
-from orbitpool.descriptor import detect_keypoints, read_rows
+from orbitpool.descriptor import grid_keypoints, read_rows
 from orbitpool.image import load_image, save_pgm
 from orbitpool import textures
 
@@ -125,7 +125,7 @@ class TestDescribe:
         with open(dest) as fh:
             _, rows = read_rows(fh)
         img = load_image(noise_file)
-        kps = detect_keypoints(img, "grid", stride=16, base_size=8.0)
+        kps = grid_keypoints(img, stride=16, base_size=8.0)
         mcfg = MatchConfig()
         kept, matrix, degenerate = describe(
             img, kps, kind, mcfg.prior, mcfg.descriptor, mcfg.scattering_bank()

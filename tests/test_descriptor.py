@@ -18,14 +18,13 @@ from orbitpool.descriptor import (
     SizePrior,
     accumulate_grid,
     descriptor_distance,
-    detect_keypoints,
     dog_keypoints,
     dsp_descriptor,
-    dump_descriptors,
     grid_keypoints,
     principal_orientations,
-    read_descriptors,
+    read_rows,
     single_size_descriptor,
+    write_rows,
 )
 from orbitpool.image import (
     AffineContrast,
@@ -130,12 +129,6 @@ class TestDetection:
                         expected.append((float(u), float(v), math.sqrt(sigmas[i] * sigmas[i + 1])))
         got = sorted((k.u, k.v, k.base_size) for k in kps)
         npt.assert_allclose(sorted(expected), got)
-
-    def test_dispatcher(self):
-        img = ImageBuffer(np.full((64, 64), 0.5))
-        assert len(detect_keypoints(img, "grid", stride=16, base_size=16)) == 9
-        with pytest.raises(ValueError):
-            detect_keypoints(img, "corner")
 
 
 class TestPrincipalOrientations:
@@ -301,6 +294,13 @@ class TestDspDescriptor:
             dsp_descriptor(f, kp, SizePrior.default())
         assert "42.90" in str(err.value)
 
+    def test_one_error_lists_only_the_sides_that_leave(self):
+        f = compute_gradients(textures.ramp(41, 41))
+        kp = Keypoint(17.0, 20.0, 11.0)
+        with pytest.raises(SupportError) as err:
+            dsp_descriptor(f, kp, SizePrior.default())
+        assert str(err.value).endswith(": 37.95, 42.90")
+
     def test_affine_contrast_invariance(self):
         seed = clean_noise_seeds(1, side=41)[0]
         img = textures.filtered_noise(41, 41, seed=seed)
@@ -458,25 +458,33 @@ class TestDistance:
             descriptor_distance(d, d, "cosine")
 
 
+GRID_HEADER = {"cells": 4, "bins": 8, "metric": "bhattacharyya"}
+
+
+def write_descriptors(descs):
+    buf = io.StringIO()
+    write_rows(buf, GRID_HEADER, ((d.keypoint, d.degenerate, d.values) for d in descs))
+    return buf
+
+
 class TestDumpFormat:
     def test_roundtrip(self):
         f = compute_gradients(textures.filtered_noise(41, 41, seed=2))
         kps = [Keypoint(20.0, 20.0, 4.0), Keypoint(14.0, 22.0, 4.0)]
         descs = [dsp_descriptor(f, k) for k in kps]
-        buf = io.StringIO()
-        dump_descriptors(descs, buf)
+        buf = write_descriptors(descs)
         buf.seek(0)
-        back = read_descriptors(buf)
+        fields, back = read_rows(buf)
+        assert fields == {key: str(value) for key, value in GRID_HEADER.items()}
         assert len(back) == 2
-        for orig, parsed in zip(descs, back):
-            npt.assert_array_equal(parsed.values, orig.values)
-            assert parsed.keypoint == orig.keypoint
+        for orig, (kp, flag, values) in zip(descs, back):
+            npt.assert_array_equal(values, orig.values)
+            assert kp == orig.keypoint and flag == orig.degenerate
 
     def test_header_and_row_shape(self):
         f = compute_gradients(textures.filtered_noise(41, 41, seed=2))
         d = dsp_descriptor(f, Keypoint(20.0, 20.0, 4.0))
-        buf = io.StringIO()
-        dump_descriptors([d], buf)
+        buf = write_descriptors([d])
         lines = buf.getvalue().strip().split("\n")
         assert lines[0] == "cells=4,bins=8,metric=bhattacharyya"
         assert len(lines[1].split(",")) == 5 + 128

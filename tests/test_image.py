@@ -13,7 +13,6 @@ from orbitpool.image import (
     ImageFormatError,
     SimilarityTransform,
     SupportError,
-    TableContrast,
     apply_contrast,
     apply_contrast_raw,
     blur_array,
@@ -325,14 +324,6 @@ class TestContrast:
         img = ImageBuffer(np.array([[0.9, 0.0]]))
         out = apply_contrast(img, AffineContrast(2.0, -0.1))
         npt.assert_allclose(out.values, [[1.0, 0.0]])
-
-    def test_table_interpolation(self):
-        t = TableContrast((0.0, 0.5, 1.0))
-        npt.assert_allclose(t.apply(np.array([0.0, 0.25, 0.5, 1.0])), [0.0, 0.25, 0.5, 1.0])
-
-    def test_table_rejects_decreasing(self):
-        with pytest.raises(ValueError):
-            TableContrast((0.5, 0.2))
 
     def test_gamma_rejects_nonpositive(self):
         with pytest.raises(ValueError):

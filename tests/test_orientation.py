@@ -1,6 +1,5 @@
 """Circular kernels, pooled orientation histograms, l1 normalization."""
 
-import io
 import math
 
 import numpy as np
@@ -11,11 +10,11 @@ from orbitpool import textures
 from orbitpool.image import (
     MAG_EPSILON,
     AffineContrast,
+    ContrastMap,
     GammaContrast,
     ImageBuffer,
     SimilarityTransform,
     SupportError,
-    TableContrast,
     apply_contrast,
     apply_contrast_raw,
     compute_gradients,
@@ -27,14 +26,22 @@ from orbitpool.orientation import (
     OrientationHistogram,
     SpatialKernel,
     bin_centers,
-    dump_histograms,
-    kernel_eval,
     normalize,
-    pixel_likelihood,
     pooled_histogram,
     soft_vote,
 )
 from conftest import clean_noise_seeds, fold_image, wrapped_gaussian_oracle
+
+
+class PiecewiseLinearContrast(ContrastMap):
+    """Monotone lookup: entry k of n sits at input k / (n - 1), linear in between."""
+
+    def __init__(self, entries):
+        self.entries = np.asarray(entries, dtype=np.float64)
+
+    def apply(self, values):
+        x = np.clip(np.asarray(values, dtype=np.float64), 0.0, 1.0)
+        return np.interp(x, np.linspace(0.0, 1.0, self.entries.size), self.entries)
 
 
 class TestCircularKernel:
@@ -60,7 +67,7 @@ class TestCircularKernel:
 
     def test_against_heavy_wrap_oracle(self):
         k = CircularKernel(0.3)
-        value = kernel_eval(k, np.pi / 4)
+        value = k(np.pi / 4)
         oracle = wrapped_gaussian_oracle(np.pi / 4, 0.3)
         assert abs(value - oracle) < 1e-6
         assert abs(value - 0.043200133153528913) < 1e-12
@@ -92,32 +99,6 @@ class TestSpatialKernel:
         rng = np.random.default_rng(0)
         pts = rng.uniform(-10, 10, (100, 2))
         assert (sk(pts[:, 0], pts[:, 1]) >= 0).all()
-
-
-class TestPixelLikelihood:
-    def test_invalid_pixel_is_zero(self):
-        f = compute_gradients(ImageBuffer(np.full((9, 9), 0.5)))
-        assert pixel_likelihood(f, (4, 4), 1.0, CircularKernel(0.3)) == 0.0
-
-    def test_peak_case(self):
-        img = textures.ramp(16, 16, angle=0.0)
-        f = compute_gradients(img)
-        k = CircularKernel(0.3)
-        got = pixel_likelihood(f, (8, 8), float(f.orientation[8, 8]), k)
-        assert abs(got - float(k(0.0)) * f.magnitude[8, 8]) < 1e-12
-
-    def test_quarter_turn_offset_hand_evaluation(self):
-        img = textures.ramp(20, 20, angle=0.0)
-        f = compute_gradients(img)
-        m = float(f.magnitude[10, 10])
-        got = pixel_likelihood(f, (10, 10), np.pi / 2, CircularKernel(0.2))
-        expected = m * wrapped_gaussian_oracle(np.pi / 2, 0.2)
-        assert abs(got - expected) < 1e-12
-
-    def test_out_of_bounds(self):
-        f = compute_gradients(textures.ramp(8, 8))
-        with pytest.raises(IndexError):
-            pixel_likelihood(f, (8, 0), 0.0, CircularKernel(0.3))
 
 
 class TestPooledHistogram:
@@ -224,7 +205,7 @@ class TestInvarianceProperties:
     def test_monotone_contrast_preserves_argmax(self):
         rng = np.random.default_rng(42)
         spatial, kernel = SpatialKernel(5.0), CircularKernel(2 * np.pi / 8)
-        maps = [GammaContrast(0.5), GammaContrast(2.0), TableContrast((0.0, 0.05, 0.35, 0.4, 0.95, 1.0))]
+        maps = [GammaContrast(0.5), GammaContrast(2.0), PiecewiseLinearContrast((0.0, 0.05, 0.35, 0.4, 0.95, 1.0))]
         images = [textures.ramp(29, 29, angle=rng.uniform(0, 2 * np.pi), lo=0.1, hi=0.9) for _ in range(8)]
         images.append(fold_image(skew=0.6))
         for img in images:
@@ -278,11 +259,3 @@ class TestHelpers:
 
     def test_bin_centers(self):
         npt.assert_allclose(bin_centers(4), [0.0, np.pi / 2, np.pi, 3 * np.pi / 2])
-
-    def test_dump_histograms(self):
-        h = OrientationHistogram(np.array([1.0, 0.0, 2.0, 1.5]), 4.5)
-        buf = io.StringIO()
-        dump_histograms([((3.0, 4.0), h)], buf)
-        row = buf.getvalue().strip().split(",")
-        assert len(row) == 6
-        assert float(row[0]) == 3.0 and float(row[5]) == 1.5

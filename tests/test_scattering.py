@@ -1,6 +1,5 @@
 """Gabor bank construction, scattering paths, and size pooling."""
 
-import io
 import math
 
 import numpy as np
@@ -17,7 +16,6 @@ from orbitpool.scattering import (
     ScatteringVector,
     build_filter_bank,
     dsp_scatter,
-    dump_scattering,
     scatter,
 )
 
@@ -270,14 +268,3 @@ class TestDspScatter:
         with pytest.raises(SupportError) as err:
             dsp_scatter(img, Keypoint(32.0, 32.0, 18.0), SizePrior.default(), bank)
         assert "70.20" in str(err.value)
-
-
-class TestDump:
-    def test_row_count_and_header(self, bank):
-        vec = scatter(textures.filtered_noise(32, 32, seed=0), bank)
-        buf = io.StringIO()
-        dump_scattering(vec, buf)
-        lines = buf.getvalue().strip().split("\n")
-        assert lines[0] == "order,j1,l1,j2,l2,value"
-        assert len(lines) == 1 + vec.flatten().size
-        assert float(lines[1].split(",")[-1]) == vec.order0

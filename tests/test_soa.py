@@ -61,6 +61,14 @@ class TestGroupSampleSet:
         weights = [w for _, w in s.anti_alias[0]]
         npt.assert_allclose(weights, [0.25, 0.75])
 
+    @pytest.mark.parametrize("make", [GroupSampleSet.rotation_group, GroupSampleSet.default])
+    def test_anti_alias_names(self, make):
+        assert len(make(anti_alias="delta").anti_alias[0]) == 1
+        assert len(make(anti_alias="grid").anti_alias[0]) == 9
+        for name in ("gird", "Grid", ""):
+            with pytest.raises(ValueError, match="anti_alias"):
+                make(anti_alias=name)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             GroupSampleSet((), ())
