@@ -14,7 +14,6 @@ from orbitpool import (
     Keypoint,
     SpatialKernel,
     apply_contrast,
-    apply_contrast_raw,
     compute_gradients,
     dsp_descriptor,
     normalize,
@@ -30,7 +29,7 @@ base = dsp_descriptor(compute_gradients(img), kp)
 print("descriptor under affine contrast  a*x + b  (no clipping)")
 for a in (0.5, 2.0):
     for b in (-0.1, 0.1):
-        raw = apply_contrast_raw(img, AffineContrast(a, b))
+        raw = AffineContrast(a, b).apply(img.values)
         mapped = dsp_descriptor(gradient_field_of_array(raw), kp)
         err = np.max(np.abs(mapped.values - base.values))
         print(f"  a={a:3} b={b:+} -> max bin change {err:.2e}")

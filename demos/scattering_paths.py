@@ -27,10 +27,10 @@ print()
 print("gratings light up the scale tuned to their frequency")
 # rotations l and l + 4 are conjugate filters, so their modulus agrees on
 # real images; report the angle mod pi to stay out of that exact tie.
-xi = 3 * np.pi / 4
+xi = bank.xi
 for freq, label in ((xi, "xi"), (xi / 2, "xi/2"), (xi / 4, "xi/4")):
     img = grating(32, 32, freq=freq, angle=2 * np.pi / 8)
-    o1 = scatter(img, bank, order=1).order1
+    o1 = scatter(img, bank).order1
     j, l = np.unravel_index(np.argmax(o1), o1.shape)
     print(f"  frequency {label:>4}: strongest path (scale {j}, rotation {l % 4} mod pi)")
 

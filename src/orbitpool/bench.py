@@ -487,9 +487,9 @@ class EvalReport:
             self.write_csv(fh)
 
 
-def _sweep(pm: PairMatches, thresholds) -> List[EvalRecord]:
+def _sweep(pm: PairMatches) -> List[EvalRecord]:
     out = []
-    for t in thresholds:
+    for t in THRESHOLDS:
         accepted = [r for r in pm.records if r.ratio <= t]
         correct = sum(1 for r in accepted if r.correct)
         out.append(EvalRecord(pm.pair, pm.kind, t, correct, len(accepted), pm.candidates))
@@ -500,10 +500,8 @@ def evaluate(
     pairs: Sequence[SyntheticPair],
     kinds: Sequence[str] = KINDS,
     mcfg: Optional[MatchConfig] = None,
-    thresholds: Sequence[float] = THRESHOLDS,
-    out_path=None,
 ) -> EvalReport:
-    """Match every (pair, kind) and sweep the ratio thresholds.
+    """Match every (pair, kind) and sweep the ratio ``THRESHOLDS``.
 
     Tasks run one after another in sorted (pair, kind) order, which is
     also the order of the report's rows.
@@ -516,8 +514,7 @@ def evaluate(
         if k not in KINDS:
             raise ValueError(f"unknown descriptor kind {k!r}, expected one of {KINDS}")
     if mcfg is None:
-        mcfg = MatchConfig(ratio=max(thresholds))
-    thresholds = sorted(thresholds)
+        mcfg = MatchConfig(ratio=max(THRESHOLDS))
     start = time.perf_counter()
 
     tasks = sorted(
@@ -529,22 +526,19 @@ def evaluate(
     flagged = []
     ap: Dict[str, List[float]] = {k: [] for k in kinds}
     for pm in matched:
-        rows = _sweep(pm, thresholds)
+        rows = _sweep(pm)
         records.extend(rows)
         ap[pm.kind].append(_pr_area(rows))
         if pm.warning or not pm.records:
             flagged.append((pm.pair, pm.kind))
     mean_ap = {k: float(np.mean(v)) for k, v in ap.items()}
 
-    report = EvalReport(
+    return EvalReport(
         records=tuple(records),
         mean_ap=mean_ap,
         runtime_seconds=time.perf_counter() - start,
         flagged=tuple(flagged),
     )
-    if out_path is not None:
-        report.save(out_path)
-    return report
 
 
 def directional_benchmark(

@@ -205,7 +205,8 @@ def _cmd_eval(args) -> int:
         raise ValueError(f"no pair subdirectories (with meta.json) in {root}")
     pairs = [load_pair(p) for p in pair_dirs]
     kinds = tuple(k.strip() for k in args.kinds.split(",") if k.strip())
-    report = evaluate(pairs, kinds, out_path=args.out)
+    report = evaluate(pairs, kinds)
+    report.save(args.out)
     for kind in kinds:
         print(f"mAP {kind} = {report.mean_ap[kind]:.4f}")
     print(f"wrote {args.out}")
@@ -220,12 +221,13 @@ def _cmd_soa(args) -> int:
     cu, cv = template_img.center
     base_size = min(template_img.width, template_img.height) / 10.0
     kp = Keypoint(cu, cv, base_size)
-    template = build_template(template_img, kp, samples, source=str(args.template))
+    cfg = DescriptorConfig()
+    template = build_template(template_img, kp, samples, cfg, source=str(args.template))
 
     qu, qv = query_img.center
     qkp = Keypoint(qu, qv, base_size)
     field = compute_gradients(query_img)
-    query = single_size_descriptor(field, qkp, base_size * 3.0)
+    query = single_size_descriptor(field, qkp, cfg.support_factor * base_size, cfg)
 
     result = soa_likelihood(template, query)
     for i, score in enumerate(result.per_sample_scores, start=1):

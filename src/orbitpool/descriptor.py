@@ -53,6 +53,8 @@ class Keypoint:
     orientation: float = 0.0
 
     def __post_init__(self):
+        if not all(math.isfinite(x) for x in (self.u, self.v, self.base_size, self.orientation)):
+            raise ValueError(f"keypoint fields must be finite, got {self}")
         if not self.base_size > 0:
             raise ValueError(f"base_size must be positive, got {self.base_size}")
 
@@ -158,6 +160,8 @@ class Descriptor:
             raise ValueError(
                 f"descriptor length {arr.size} does not match {self.cells}x{self.cells}x{self.bins}"
             )
+        if not np.isfinite(arr).all():
+            raise ValueError("descriptor entries must be finite")
         if (arr < 0).any():
             raise ValueError("descriptor entries must be nonnegative")
         if not self.degenerate and abs(arr.sum() - 1.0) > 1e-9:
@@ -174,11 +178,11 @@ class Descriptor:
 # detection
 
 
-def grid_keypoints(img: ImageBuffer, stride: int = 16, base_size: Optional[float] = None) -> List[Keypoint]:
+def grid_keypoints(img: ImageBuffer, stride: int, base_size: float) -> List[Keypoint]:
     """Deterministic keypoint lattice with margin equal to the base size."""
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    size = float(stride) if base_size is None else float(base_size)
+    size = float(base_size)
     if not size > 0:
         raise ValueError(f"base_size must be positive, got {size}")
 
@@ -198,26 +202,24 @@ def grid_keypoints(img: ImageBuffer, stride: int = 16, base_size: Optional[float
     return [Keypoint(u, v, size) for v in vs for u in us]
 
 
-def dog_keypoints(img: ImageBuffer, levels: int = 4, threshold: float = 0.01) -> List[Keypoint]:
+def dog_keypoints(img: ImageBuffer) -> List[Keypoint]:
     """Difference-of-Gaussians extrema over a small scale stack.
 
-    Blurs the image at sigma_i = 1.6 * 2**(i/3) for i = 0..levels, forms
-    the adjacent differences, and keeps strict 26-neighborhood extrema of
-    absolute value above ``threshold`` in the interior difference layers.
+    Blurs the image at sigma_i = 1.6 * 2**(i/3) for i = 0..4, forms the
+    four adjacent differences, and keeps strict 26-neighborhood extrema of
+    absolute value above 0.01 in the two interior difference layers.
     Each keypoint's base_size is the geometric mean of the two blur scales
     bracketing its layer.
     """
-    if levels < 3:
-        raise ValueError(f"need at least 3 levels, got {levels}")
     if min(img.width, img.height) < 8:
         raise ValueError("image too small for scale-space detection")
-    sigmas = [1.6 * 2.0 ** (i / 3.0) for i in range(levels + 1)]
-    blurred = [gaussian_blur(img, s).values for s in sigmas]
-    stack = np.stack([blurred[i + 1] - blurred[i] for i in range(levels)])
+    sigmas = [1.6 * 2.0 ** (i / 3.0) for i in range(5)]
+    blurred = np.stack([gaussian_blur(img, s).values for s in sigmas])
+    stack = blurred[1:] - blurred[:-1]
 
     maxf = ndimage.maximum_filter(stack, size=3, mode="nearest")
     minf = ndimage.minimum_filter(stack, size=3, mode="nearest")
-    cand = ((stack == maxf) | (stack == minf)) & (np.abs(stack) > threshold)
+    cand = ((stack == maxf) | (stack == minf)) & (np.abs(stack) > 0.01)
     cand[0] = cand[-1] = False
     cand[:, 0, :] = cand[:, -1, :] = False
     cand[:, :, 0] = cand[:, :, -1] = False
@@ -237,19 +239,16 @@ def dog_keypoints(img: ImageBuffer, levels: int = 4, threshold: float = 0.01) ->
 # canonization
 
 
-def principal_orientations(
-    field: GradientField,
-    kp: Keypoint,
-    l_max: int = 2,
-    bins: int = 36,
-) -> List[float]:
-    """Dominant gradient directions around a keypoint.
+def principal_orientations(field: GradientField, kp: Keypoint) -> List[float]:
+    """Dominant gradient directions around a keypoint, at most two.
 
-    Builds an orientation histogram over a Gaussian window of scale
-    1.5 * base_size, then returns the global peak together with any local
-    peaks reaching 80% of it, each refined by fitting a parabola through
-    the peak bin and its neighbors.  Flat support yields an empty list.
+    Builds a 36-bin orientation histogram over a Gaussian window of scale
+    1.5 * base_size, then returns the global peak and the strongest other
+    local peak reaching 80% of it, each refined by fitting a parabola
+    through the peak bin and its neighbors.  Flat support yields an empty
+    list.
     """
+    bins = 36
     sigma = 1.5 * kp.base_size
     hist = pooled_histogram(
         field,
@@ -272,7 +271,7 @@ def principal_orientations(
             angle = float(np.mod((b + offset) * 2.0 * np.pi / bins, 2.0 * np.pi))
             peaks.append((float(h[b]), angle))
     peaks.sort(key=lambda p: (-p[0], p[1]))
-    return [angle for _, angle in peaks[:l_max]]
+    return [angle for _, angle in peaks[:2]]
 
 
 # ---------------------------------------------------------------------------

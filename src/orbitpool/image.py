@@ -22,6 +22,9 @@ from scipy import ndimage
 #: any histogram downstream.
 MAG_EPSILON = 1e-4
 
+#: Scale in pixels of the Gaussian blur applied before differencing.
+PRE_SIGMA = 1.0
+
 #: Rec.601 luminance weights, fixed for determinism.
 LUMA_WEIGHTS = (0.299, 0.587, 0.114)
 
@@ -203,15 +206,6 @@ def apply_contrast(img, cmap):
     return ImageBuffer.from_array(cmap.apply(img.values), clip=True)
 
 
-def apply_contrast_raw(img, cmap):
-    """Apply a contrast map without clipping.
-
-    Returns a plain signed array; affine maps with large gain or offset can
-    leave [0, 1], which exactness tests rely on.
-    """
-    return cmap.apply(img.values)
-
-
 # ---------------------------------------------------------------------------
 # smoothing and gradients
 
@@ -249,32 +243,33 @@ def gaussian_blur(img, sigma):
     return ImageBuffer.from_array(blur_array(img.values, sigma), clip=True)
 
 
-def gradient_field_of_array(values, pre_sigma=1.0, mag_epsilon=MAG_EPSILON):
+def gradient_field_of_array(values):
     """Gradient field of a raw (possibly unclipped) luminance array.
 
-    Central differences after Gaussian pre-smoothing; the one-pixel border
-    and every pixel with magnitude below ``mag_epsilon`` are invalid.
+    Central differences after a Gaussian blur of scale ``PRE_SIGMA``; the
+    one-pixel border and every pixel with magnitude below ``MAG_EPSILON``
+    are invalid.
     """
     values = np.asarray(values, dtype=np.float64)
     h, w = values.shape
     if w < 3 or h < 3:
         raise ValueError(f"image too small for gradients: {w}x{h}")
-    sm = blur_array(values, pre_sigma) if pre_sigma > 0 else values
+    sm = blur_array(values, PRE_SIGMA)
     du = np.zeros_like(sm)
     dv = np.zeros_like(sm)
     du[:, 1:-1] = 0.5 * (sm[:, 2:] - sm[:, :-2])
     dv[1:-1, :] = 0.5 * (sm[2:, :] - sm[:-2, :])
     mag = np.hypot(du, dv)
     ori = np.mod(np.arctan2(dv, du), 2.0 * np.pi)
-    valid = mag >= mag_epsilon
+    valid = mag >= MAG_EPSILON
     valid[0, :] = valid[-1, :] = False
     valid[:, 0] = valid[:, -1] = False
     return GradientField(mag, ori, valid)
 
 
-def compute_gradients(img, pre_sigma=1.0, mag_epsilon=MAG_EPSILON):
+def compute_gradients(img):
     """Gradient field of an image; see ``gradient_field_of_array``."""
-    return gradient_field_of_array(img.values, pre_sigma, mag_epsilon)
+    return gradient_field_of_array(img.values)
 
 
 # ---------------------------------------------------------------------------

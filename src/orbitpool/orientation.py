@@ -43,19 +43,16 @@ class CircularKernel:
     """Wrapped Gaussian density on the circle.
 
     The density is approximated by summing plain Gaussian branches over
-    ``wraps`` full turns on each side of zero.  With the default of two
-    wraps (five branches) the truncation error is below 1e-12 for any
-    bandwidth up to one radian, which covers every use in this package.
+    two full turns on each side of zero.  With these five branches the
+    truncation error is below 1e-12 for any bandwidth up to one radian,
+    which covers every use in this package.
     """
 
     bandwidth: float
-    wraps: int = 2
 
     def __post_init__(self):
         if not self.bandwidth > 0:
             raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
-        if self.wraps < 0:
-            raise ValueError("wraps must be nonnegative")
 
     def __call__(self, delta):
         delta = np.asarray(delta, dtype=float)
@@ -66,7 +63,7 @@ class CircularKernel:
         inv = 1.0 / self.bandwidth
         norm = inv / math.sqrt(2.0 * np.pi)
         total = np.zeros_like(delta)
-        for k in range(-self.wraps, self.wraps + 1):
+        for k in range(-2, 3):
             z = (delta + two_pi * k) * inv
             total = total + np.exp(-0.5 * z * z)
         return total * norm

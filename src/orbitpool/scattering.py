@@ -11,15 +11,15 @@ pairs with the second scale strictly coarser.
 Filters are Morlet-style Gabors: a complex carrier under an elongated
 Gaussian envelope, with the DC component subtracted at construction so
 constant patches produce no band-pass response, and the modulus mass
-normalized to one.  All convolutions are circular; a frequency-domain path
-is used for larger patches and must agree with the direct path.
+normalized to one.  All convolutions are circular; the frequency-domain
+path is the one used, and the direct path is the reference it must match.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 from scipy import ndimage
@@ -38,6 +38,13 @@ __all__ = [
 #: Side in pixels that ``dsp_scatter`` resamples every window to, so the
 #: vectors of all window sizes share one index set.
 SAMPLE_SIDE = 32
+
+#: Carrier frequency (radians per pixel) of the finest filters.
+XI = 3.0 * np.pi / 4.0
+#: Envelope scale in pixels of the finest filters; scale j uses SIGMA * 2**j.
+SIGMA = 0.8
+#: Envelope aspect ratio: the width across the carrier over the width along it.
+SLANT = 0.5
 
 
 @dataclass(frozen=True)
@@ -126,28 +133,20 @@ def _gabor_kernel(sigma: float, xi: float, theta: float, slant: float) -> np.nda
     return psi
 
 
-def build_filter_bank(
-    scales: int = 3,
-    rotations: int = 8,
-    xi: float = 3.0 * np.pi / 4.0,
-    sigma: float = 0.8,
-    slant: float = 0.5,
-) -> FilterBank:
+def build_filter_bank(scales: int = 3, rotations: int = 8) -> FilterBank:
     """Construct the Gabor bank: dilations by 2**j, rotations by 2*pi*l/L."""
     if scales < 1:
         raise ValueError(f"need at least one scale, got {scales}")
     if rotations < 2:
         raise ValueError(f"need at least two rotations, got {rotations}")
-    if not (xi > 0 and sigma > 0 and slant > 0):
-        raise ValueError("xi, sigma, and slant must be positive")
     kernels = tuple(
         tuple(
-            _gabor_kernel(sigma * 2.0**j, xi / 2.0**j, 2.0 * np.pi * l / rotations, slant)
+            _gabor_kernel(SIGMA * 2.0**j, XI / 2.0**j, 2.0 * np.pi * l / rotations, SLANT)
             for l in range(rotations)
         )
         for j in range(scales)
     )
-    return FilterBank(scales, rotations, xi, sigma, slant, kernels, sigma * 2.0**scales)
+    return FilterBank(scales, rotations, XI, SIGMA, SLANT, kernels, SIGMA * 2.0**scales)
 
 
 @dataclass(frozen=True)
@@ -194,40 +193,31 @@ def _conv_direct(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return real + 1j * imag
 
 
-def scatter(
-    patch: ImageBuffer,
-    bank: FilterBank,
-    order: int = 2,
-    method: str = "auto",
-) -> ScatteringVector:
+def scatter(patch: ImageBuffer, bank: FilterBank, method: str = "fft") -> ScatteringVector:
     """Scattering coefficients of a patch, collapsed to one value per path.
 
-    ``method`` selects the convolution path: 'fft', 'direct', or 'auto'
-    (frequency domain once the smaller patch side reaches 32 px).  For
-    even L the frequency-domain path computes the orientations in
-    [0, pi) only and copies them to l + L/2, where a real patch gives the
-    same modulus; the direct path computes every orientation and is the
-    reference the other must match.
+    ``method`` selects the convolution path: 'fft' or 'direct'.  For even
+    L the frequency-domain path computes the orientations in [0, pi) only
+    and copies them to l + L/2, where a real patch gives the same modulus;
+    the direct path computes every orientation and is the reference the
+    other must match.  Both need the largest kernel to fit in the patch.
     """
-    if order not in (1, 2):
-        raise ValueError(f"order must be 1 or 2, got {order}")
-    if method not in ("auto", "fft", "direct"):
+    if method not in ("fft", "direct"):
         raise ValueError(f"unknown method {method!r}")
     values = patch.values
     h, w = values.shape
-    if bank.max_radius > min(h, w) // 2:
+    if 2 * bank.max_radius + 1 > min(h, w):
         raise SupportError(
-            f"largest kernel radius {bank.max_radius} exceeds half the "
+            f"largest kernel side {2 * bank.max_radius + 1} exceeds the "
             f"{w}x{h} patch; use a smaller bank or a larger patch"
         )
-    use_fft = method == "fft" or (method == "auto" and min(h, w) >= 32)
     J, L = bank.scales, bank.rotations
     weights = bank.lowpass_weights(values.shape)
     order0 = float((weights * values).sum())
-    pairs = tuple((j1, j2) for j1 in range(J) for j2 in range(j1 + 1, J)) if order == 2 else ()
+    pairs = tuple((j1, j2) for j1 in range(J) for j2 in range(j1 + 1, J))
 
-    if use_fft:
-        order1, order2 = _cascade_fft(values, bank, weights, order)
+    if method == "fft":
+        order1, order2 = _cascade_fft(values, bank, weights)
         return ScatteringVector(order0, order1, order2, pairs)
 
     u1 = np.empty((J, L, h, w))
@@ -246,9 +236,7 @@ def scatter(
     return ScatteringVector(order0, order1, order2, pairs)
 
 
-def _cascade_fft(
-    values: np.ndarray, bank: FilterBank, weights: np.ndarray, order: int
-) -> Tuple[np.ndarray, np.ndarray]:
+def _cascade_fft(values: np.ndarray, bank: FilterBank, weights: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Orders 1 and 2 in the frequency domain over the distinct orientations.
 
     Order 1 is one inverse transform of a ``(J, H, h, w)`` stack; order 2
@@ -267,8 +255,6 @@ def _cascade_fft(
     u1, half1 = averaged_modulus(np.fft.fft2(values) * ffts)
     tile = np.arange(L) % H
     order1 = half1[:, tile]
-    if order == 1:
-        return order1, np.zeros((0, L, L))
 
     half2 = []
     for j1 in range(J - 1):
@@ -282,8 +268,8 @@ def _cascade_fft(
 def dsp_scatter(
     img: ImageBuffer,
     kp: Keypoint,
-    prior: SizePrior = SizePrior.default(),
-    bank: Optional[FilterBank] = None,
+    prior: SizePrior,
+    bank: FilterBank,
     support_factor: float = 3.0,
 ) -> ScatteringVector:
     """Average scattering vectors over the size prior.
@@ -294,8 +280,6 @@ def dsp_scatter(
     averaged coefficient-wise with the prior weights.  Any window that
     does not fit raises with the offending sides listed.
     """
-    if bank is None:
-        bank = build_filter_bank()
     sides = [m * kp.base_size * support_factor for m in prior.multipliers]
     patches = for_each_side(
         (kp.u, kp.v), sides, lambda side: extract_patch(img, (kp.u, kp.v), side, SAMPLE_SIDE)

@@ -54,11 +54,11 @@ def delta_perturbation() -> Perturbations:
     return ((SimilarityTransform.identity(), 1.0),)
 
 
-def perturbation_grid(rotation_delta: float = 0.1, log_scale_delta: float = 0.1) -> Perturbations:
-    """Uniform 3x3 cloud around the identity: rotation and log-scale offsets."""
+def perturbation_grid() -> Perturbations:
+    """Uniform 3x3 cloud around the identity: rotation and log-scale offsets of 0 and +-0.1."""
     out = []
-    for dr in (-rotation_delta, 0.0, rotation_delta):
-        for ds in (-log_scale_delta, 0.0, log_scale_delta):
+    for dr in (-0.1, 0.0, 0.1):
+        for ds in (-0.1, 0.0, 0.1):
             out.append((SimilarityTransform(scale=math.exp(ds), rotation=dr), 1.0 / 9.0))
     return tuple(out)
 
@@ -181,25 +181,15 @@ def build_template(
     return TemplateModel(source, tuple(descriptors), samples)
 
 
-def anti_aliased_score(
-    template: TemplateModel,
-    index: int,
-    query: Descriptor,
-    metric: str = "affinity",
-) -> float:
-    """Similarity of the query to template sample ``index`` (1-based)."""
+def anti_aliased_score(template: TemplateModel, index: int, query: Descriptor) -> float:
+    """Bhattacharyya affinity of the query to template sample ``index`` (1-based)."""
     if not 1 <= index <= len(template):
         raise IndexError(f"sample index {index} outside [1, {len(template)}]")
     a = template.descriptors[index - 1].values
     b = query.values
     if a.size != b.size:
         raise ValueError(f"descriptor lengths differ: {a.size} vs {b.size}")
-    if metric == "affinity":
-        return float(np.sqrt(a * b).sum())
-    if metric == "euclidean":
-        diff = a - b
-        return float(-np.sqrt(np.dot(diff, diff)))
-    raise ValueError(f"unknown metric {metric!r}")
+    return float(np.sqrt(a * b).sum())
 
 
 @dataclass(frozen=True)
@@ -221,24 +211,24 @@ class SOAResult:
             raise ValueError("argmax_index must point at the first maximal score")
 
 
-def soa_likelihood(template: TemplateModel, query: Descriptor, metric: str = "affinity") -> SOAResult:
+def soa_likelihood(template: TemplateModel, query: Descriptor) -> SOAResult:
     """Score the query against every sample and keep the best.
 
     Ties resolve to the smallest index; the full score list is returned
     for inspection.
     """
     scores = tuple(
-        anti_aliased_score(template, i, query, metric) for i in range(1, len(template) + 1)
+        anti_aliased_score(template, i, query) for i in range(1, len(template) + 1)
     )
     best = max(scores)
     return SOAResult(best, scores.index(best) + 1, scores)
 
 
-def save_template(template: TemplateModel, out: TextIO, metric: str = "affinity") -> None:
-    """Header (source, count, grid shape, metric), then one row per sample."""
+def save_template(template: TemplateModel, out: TextIO) -> None:
+    """Header (source, count, grid shape, metric=affinity), then one row per sample."""
     first = template.descriptors[0]
     header = {"source": template.source, "n": len(template), "cells": first.cells,
-              "bins": first.bins, "metric": metric}
+              "bins": first.bins, "metric": "affinity"}
     write_rows(out, header, ((d.keypoint, d.degenerate, d.values) for d in template.descriptors))
 
 

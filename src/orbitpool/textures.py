@@ -82,18 +82,19 @@ def oriented_noise(width, height, seed, angle=None, smooth=1.0, stretch=6.0, lo=
     return ImageBuffer.from_array(lo + (hi - lo) * (acc - rmin) / span)
 
 
-def benchmark_bases(count, width=96, height=96, seed=2024):
-    """Deterministic family of base textures for the synthetic benchmark.
+def benchmark_bases(count):
+    """Deterministic family of 96 x 96 base textures for the synthetic benchmark.
 
-    Mixes smoothed-noise fields (the bulk), a ramp, and a checkerboard so
-    the set exercises flat gradients, strong edges, and generic texture.
+    Mixes smoothed-noise fields (the bulk, seeds 2024, 2025, ...), a ramp,
+    and a checkerboard so the set exercises flat gradients, strong edges,
+    and generic texture.
     """
     bases = [
-        ramp(width, height, angle=0.35),
-        checkerboard(width, height, cell=11),
+        ramp(96, 96, angle=0.35),
+        checkerboard(96, 96, cell=11),
     ]
     k = 0
     while len(bases) < count:
-        bases.append(filtered_noise(width, height, seed=seed + k, smooth=1.8))
+        bases.append(filtered_noise(96, 96, seed=2024 + k, smooth=1.8))
         k += 1
     return bases[:count]

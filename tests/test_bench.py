@@ -10,7 +10,6 @@ from orbitpool.bench import (
     EvalRecord,
     MatchConfig,
     SynthSpec,
-    SyntheticPair,
     _pr_area,
     describe,
     evaluate,
@@ -21,7 +20,7 @@ from orbitpool.bench import (
     synth_pairs,
 )
 from orbitpool.descriptor import DescriptorConfig, Keypoint, SizePrior, dsp_descriptor, grid_keypoints
-from orbitpool.image import ImageBuffer, SimilarityTransform, compute_gradients
+from orbitpool.image import ImageBuffer, compute_gradients
 from orbitpool import textures
 
 
@@ -382,7 +381,8 @@ class TestEvaluate:
 
     def test_save_writes_file(self, tmp_path):
         pair = make_pair(noise_base(25), SynthSpec(), np.random.default_rng(0), name="f")
-        report = evaluate([pair], ["sift"], out_path=tmp_path / "report.csv")
+        report = evaluate([pair], ["sift"])
+        report.save(tmp_path / "report.csv")
         text = (tmp_path / "report.csv").read_text()
         assert text.startswith("pair,kind,threshold,precision,recall\n")
         buf = io.StringIO()

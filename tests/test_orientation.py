@@ -16,7 +16,6 @@ from orbitpool.image import (
     SimilarityTransform,
     SupportError,
     apply_contrast,
-    apply_contrast_raw,
     compute_gradients,
     gradient_field_of_array,
     warp,
@@ -194,7 +193,7 @@ class TestInvarianceProperties:
             )
             for gain in (0.5, 2.0):
                 for offset in (-0.1, 0.1):
-                    raw = apply_contrast_raw(img, AffineContrast(gain, offset))
+                    raw = AffineContrast(gain, offset).apply(img.values)
                     h = normalize(
                         pooled_histogram(
                             gradient_field_of_array(raw), (16.0, 16.0), 10.0, spatial, kernel

@@ -1,7 +1,6 @@
 """Orbit sampling: template construction, anti-aliased scores, max rule."""
 
 import io
-import math
 
 import numpy as np
 import numpy.testing as npt
@@ -24,7 +23,6 @@ from orbitpool.soa import (
     build_template,
     delta_perturbation,
     load_template,
-    perturbation_grid,
     save_template,
     soa_likelihood,
 )
@@ -152,16 +150,6 @@ class TestAntiAliasedScore:
         t = TemplateModel("x", (a,))
         assert abs(anti_aliased_score(t, 1, b) - 0.9571067811865475) < 1e-12
 
-    def test_euclidean_is_negative_distance(self):
-        kp = Keypoint(0.0, 0.0, 1.0)
-        a = np.zeros(8)
-        a[0] = 1.0
-        b = np.zeros(8)
-        b[5] = 1.0
-        t = TemplateModel("x", (Descriptor(a, 1, 8, kp),))
-        got = anti_aliased_score(t, 1, Descriptor(b, 1, 8, kp), metric="euclidean")
-        assert abs(got + math.sqrt(2)) < 1e-12
-
     def test_index_bounds(self):
         _, t = self.make_template()
         with pytest.raises(IndexError):
@@ -284,6 +272,16 @@ class TestTemplateIO:
         text = "\n".join([header] + [f"{i},{row}" for i, row in enumerate(rows, start=1)])
         with pytest.raises(ValueError):
             load_template(io.StringIO(text))
+
+    def test_non_finite_value_rejected(self):
+        img = textures.filtered_noise(64, 64, seed=10)
+        t = build_template(img, CENTER_KP, GroupSampleSet.rotation_group(2, anti_alias="delta"))
+        buf = io.StringIO()
+        save_template(t, buf)
+        header, first, *rest = buf.getvalue().splitlines()
+        first = first.rsplit(",", 1)[0] + ",nan"
+        with pytest.raises(ValueError, match="finite"):
+            load_template(io.StringIO("\n".join([header, first, *rest])))
 
     @pytest.mark.parametrize("source", ["shots/a,b.pgm", "x\ny", "x\ry"])
     def test_header_separators_in_source_rejected(self, source):
