@@ -33,6 +33,7 @@ __all__ = [
     "dog_keypoints",
     "principal_orientations",
     "window_box",
+    "window_inside",
     "accumulate_grid",
     "normalize_grid",
     "single_size_descriptor",
@@ -76,6 +77,10 @@ class SizePrior:
         for mult, weight in self.samples:
             mult = float(mult)
             weight = float(weight)
+            if not math.isfinite(mult):
+                raise ValueError(f"size multiplier must be finite, got {mult}")
+            if not math.isfinite(weight):
+                raise ValueError(f"weights must be finite, got {weight}")
             if not mult > 0:
                 raise ValueError(f"size multiplier must be positive, got {mult}")
             if weight < 0:
@@ -86,6 +91,8 @@ class SizePrior:
         total = sum(merged.values())
         if total <= 0:
             raise ValueError("prior weights must not all be zero")
+        if not math.isfinite(total):
+            raise ValueError("prior weights must have a finite sum")
         pairs = tuple((m, w / total) for m, w in sorted(merged.items()))
         object.__setattr__(self, "samples", pairs)
 
@@ -305,20 +312,27 @@ def window_box(kp: Keypoint, size: float, shape: Tuple[int, int]) -> Tuple[int, 
     )
 
 
+def window_inside(kp: Keypoint, size: float, shape: Tuple[int, int]) -> bool:
+    """Whether the keypoint's window of side ``size`` lies inside an image of ``shape``.
+
+    The window is the same rotated square as in ``window_box``; a
+    non-finite extent (an overflowing side) counts as leaving the image.
+    """
+    umin, umax, vmin, vmax = _window_extent(kp, size)
+    h, w = shape
+    return umin >= 0 and umax <= w - 1 and vmin >= 0 and vmax <= h - 1
+
+
 def _check_support(field: GradientField, kp: Keypoint, sides: Sequence[float]) -> None:
     """Raise one SupportError naming every side whose window leaves the image.
 
     The windows are concentric squares at one rotation, so none leaves
     unless the largest does.
     """
-    h, w = field.magnitude.shape
-
-    def leaves(side):
-        umin, umax, vmin, vmax = _window_extent(kp, side)
-        return umin < 0 or umax > w - 1 or vmin < 0 or vmax > h - 1
-
-    if leaves(max(sides)):
-        bad = ", ".join(f"{side:.2f}" for side in sides if leaves(side))
+    shape = field.magnitude.shape
+    if not window_inside(kp, max(sides), shape):
+        bad = ", ".join(f"{side:.2f}" for side in sides if not window_inside(kp, side, shape))
+        h, w = shape
         raise SupportError(
             f"window sides out of bounds at ({kp.u:.1f}, {kp.v:.1f}) "
             f"rotated by {kp.orientation:.3f} in the {w}x{h} image: {bad}"
@@ -470,5 +484,7 @@ def read_rows(stream: TextIO) -> Tuple[Dict[str, str], List[Tuple[Keypoint, bool
         if len(line) < 6:
             raise ValueError(f"row of {len(line)} fields, expected at least 6")
         kp = Keypoint(float(line[0]), float(line[1]), float(line[2]), float(line[3]))
-        rows.append((kp, bool(int(line[4])), np.array([float(x) for x in line[5:]])))
+        if line[4] not in ("0", "1"):
+            raise ValueError(f"degenerate flag must be 0 or 1, got {line[4]!r}")
+        rows.append((kp, line[4] == "1", np.array([float(x) for x in line[5:]])))
     return fields, rows

@@ -25,6 +25,12 @@ MAG_EPSILON = 1e-4
 #: Scale in pixels of the Gaussian blur applied before differencing.
 PRE_SIGMA = 1.0
 
+#: Pixels a gradient reads on each side: the blur radius ``ceil(3 *
+#: PRE_SIGMA)`` plus one for the central difference.  Gradients computed
+#: on a crop equal those of the whole image at every pixel at least this
+#: far from each crop edge that is not also an image edge.
+GRADIENT_MARGIN = math.ceil(3.0 * PRE_SIGMA) + 1
+
 #: Rec.601 luminance weights, fixed for determinism.
 LUMA_WEIGHTS = (0.299, 0.587, 0.114)
 
@@ -301,19 +307,27 @@ def _bilinear_sample(values, su, sv):
     return top * (1.0 - fv) + bot * fv
 
 
-def warp(img, transform):
+def warp(img, transform, box=None):
     """Warp an image by a similarity transform about its center.
 
     Inverse-mapped bilinear interpolation; returns ``(warped, mask)`` where
     ``mask`` is False outside the source domain (those pixels are set to 0).
+    With ``box=(u0, u1, v0, v1)`` only that inclusive pixel box of the
+    output is resampled: the result is the ``[v0:v1+1, u0:u1+1]`` crop of
+    the whole warp and of its mask, bit for bit.
     """
     values = img.values
     h, w = values.shape
+    u0, u1, v0, v1 = (0, w - 1, 0, h - 1) if box is None else box
+    if not (0 <= u0 <= u1 < w and 0 <= v0 <= v1 < h):
+        raise ValueError(f"box {box} is not inside the {w}x{h} image")
     cu, cv = img.center
     inv = transform.inverse()
-    uu, vv = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
+    # the matrix product's rounding depends on a point's place in its row,
+    # so whole rows are mapped and then cut to the box's columns
+    uu, vv = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(v0, v1 + 1, dtype=np.float64))
     pts = np.stack([uu - cu, vv - cv], axis=-1)
-    src = inv.apply(pts)
+    src = inv.apply(pts)[:, u0 : u1 + 1]
     su = src[..., 0] + cu
     sv = src[..., 1] + cv
     inside = (su >= -_SNAP_EPS) & (su <= w - 1 + _SNAP_EPS) & (sv >= -_SNAP_EPS) & (sv <= h - 1 + _SNAP_EPS)

@@ -21,7 +21,7 @@ from typing import Optional, TextIO, Tuple
 
 import numpy as np
 
-from .image import ImageBuffer, SimilarityTransform, SupportError, compute_gradients, warp
+from .image import GRADIENT_MARGIN, ImageBuffer, SimilarityTransform, SupportError, compute_gradients, warp
 from .descriptor import (
     Descriptor,
     DescriptorConfig,
@@ -30,6 +30,7 @@ from .descriptor import (
     normalize_grid,
     read_rows,
     window_box,
+    window_inside,
     write_rows,
 )
 
@@ -143,9 +144,35 @@ def _warped_keypoint(kp: Keypoint, g: SimilarityTransform, center) -> Keypoint:
     return Keypoint(float(u), float(v), kp.base_size, kp.orientation)
 
 
-def _require_covered(mask: np.ndarray, kp: Keypoint, size: float) -> None:
-    u0, u1, v0, v1 = window_box(kp, size, mask.shape)
-    if not mask[v0 : v1 + 1, u0 : u1 + 1].all():
+def _view_box(kp: Keypoint, size: float, shape) -> Tuple[int, int, int, int]:
+    """The pixels a view's descriptor reads: its window box plus ``GRADIENT_MARGIN``.
+
+    The box is clipped to the image; where it meets the image border the
+    crop's gradients pad exactly as the whole image's do.  It is the whole
+    image when the window leaves the image, when rounding in the crop's
+    own frame would say it does, or when the image is too small for
+    gradients, so that every error is raised as it is there.
+    """
+    h, w = shape
+    whole = (0, w - 1, 0, h - 1)
+    if min(h, w) < 3 or not window_inside(kp, size, shape):
+        return whole
+    u0, u1, v0, v1 = window_box(kp, size, shape)
+    m = GRADIENT_MARGIN
+    box = (max(0, u0 - m), min(w - 1, u1 + m), max(0, v0 - m), min(h - 1, v1 + m))
+    crop = (box[3] - box[2] + 1, box[1] - box[0] + 1)
+    return box if window_inside(_shifted(kp, box), size, crop) else whole
+
+
+def _shifted(kp: Keypoint, box) -> Keypoint:
+    """The keypoint in the frame of a crop whose first pixel is ``(box[0], box[2])``."""
+    return Keypoint(kp.u - box[0], kp.v - box[2], kp.base_size, kp.orientation)
+
+
+def _require_covered(mask: np.ndarray, kp: Keypoint, size: float, shape, box) -> None:
+    """Raise unless ``mask``, the ``box`` crop of a warp's mask, covers the window."""
+    u0, u1, v0, v1 = window_box(kp, size, shape)
+    if not mask[v0 - box[2] : v1 - box[2] + 1, u0 - box[0] : u1 - box[0] + 1].all():
         raise SupportError(
             f"warped support at ({kp.u:.1f}, {kp.v:.1f}) leaves the image domain"
         )
@@ -161,22 +188,36 @@ def build_template(
     """Extract one averaged descriptor per transform sample.
 
     For each sample g_i and each perturbation g in its cloud, the image is
-    warped once by the composed transform g_i o g and a raw descriptor
-    grid is accumulated at the mapped keypoint position with the window
-    size and reference orientation held fixed; the weighted grids are
-    averaged and normalized once, exactly as in size pooling.
+    warped by the composed transform g_i o g and a raw descriptor grid is
+    accumulated at the mapped keypoint position with the window size and
+    reference orientation held fixed; the weighted grids are averaged and
+    normalized once, exactly as in size pooling.
+
+    Only the window's bounding box plus ``GRADIENT_MARGIN`` px (4 at
+    ``PRE_SIGMA`` = 1) is warped and differentiated.  That is exact: a
+    gradient reads the blurred image one pixel away, and the blur reads
+    ``ceil(3 * PRE_SIGMA)`` px further, so every window pixel sees the
+    same values as in the whole warp; where the box is clipped at the
+    image border, the crop's reflected padding is the whole image's.  The
+    crop starts at an integer pixel, so the keypoint shifted into it gives
+    the same pixel offsets to the bit, and the descriptors are those of
+    the whole-image warp.  Support errors name the keypoint in
+    whole-image coordinates.
     """
     size = cfg.support_factor * kp.base_size
     center = img.center
+    shape = img.values.shape
     descriptors = []
     for g_i, cloud in zip(samples.samples, samples.anti_alias):
         pooled = np.zeros(cfg.length)
         for g, weight in cloud:
             composed = g_i.compose(g)
-            warped, mask = warp(img, composed)
             moved = _warped_keypoint(kp, composed, center)
-            _require_covered(mask, moved, size)
-            pooled += accumulate_grid(compute_gradients(warped), moved, (size,), (weight,), cfg)
+            box = _view_box(moved, size, shape)
+            warped, mask = warp(img, composed, box)
+            _require_covered(mask, moved, size, shape, box)
+            field = compute_gradients(warped)
+            pooled += accumulate_grid(field, _shifted(moved, box), (size,), (weight,), cfg)
         descriptors.append(normalize_grid(pooled, kp, cfg))
     return TemplateModel(source, tuple(descriptors), samples)
 

@@ -111,6 +111,19 @@ class TestDescribe:
         assert lines[0].startswith("order=2,length=216")
         assert len(lines[1].split(",")) == 5 + 216
 
+    def test_infinite_size_rejected(self, noise_file, capsys):
+        assert main(["describe", noise_file, "--kind", "dsp-sift", "--sizes", "1.0,inf"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "size multiplier must be finite, got inf" in captured.err
+
+    @pytest.mark.parametrize("kind", ["dsp-sift", "dsp-sc"])
+    def test_overflowing_size_has_no_support(self, noise_file, kind, capsys):
+        assert main(["describe", noise_file, "--kind", kind, "--sizes", "1e308"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no keypoints with descriptor support" in captured.err
+
     @pytest.mark.parametrize("kind", ["sift", "sc"])
     def test_sizes_rejected_for_single_size_kinds(self, noise_file, kind, capsys):
         assert main(["describe", noise_file, "--kind", kind, "--sizes", "0.9,1.1"]) == 2

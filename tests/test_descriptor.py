@@ -72,6 +72,20 @@ class TestSizePrior:
         with pytest.raises(ValueError):
             SizePrior(((0.0, 1.0),))
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_multiplier(self, bad):
+        with pytest.raises(ValueError, match="size multiplier must be finite"):
+            SizePrior(((1.0, 1.0), (bad, 1.0)))
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_rejects_non_finite_weight(self, bad):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            SizePrior(((1.0, 1.0), (1.2, bad)))
+
+    def test_rejects_overflowing_weight_sum(self):
+        with pytest.raises(ValueError, match="finite sum"):
+            SizePrior(((1.0, 1e308), (1.2, 1e308)))
+
     def test_default_prior(self):
         p = SizePrior.default()
         assert p.multipliers == (0.7, 0.85, 1.0, 1.15, 1.3)
@@ -263,6 +277,14 @@ class TestDspDescriptor:
         a = dsp_descriptor(f, kp, SizePrior.uniform((1.1, 1.1)))
         b = dsp_descriptor(f, kp, SizePrior.delta(1.1))
         npt.assert_array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("multiplier", [1e308, 1e300])
+    def test_overflowing_window_leaves_the_image(self, multiplier):
+        # 1e308 * 12 overflows the window side to inf, whose corners are
+        # nan; both count as leaving the image
+        f = compute_gradients(textures.filtered_noise(41, 41, seed=3))
+        with pytest.raises(SupportError, match="out of bounds"):
+            dsp_descriptor(f, Keypoint(20.0, 20.0, 4.0), SizePrior.delta(multiplier))
 
     def test_two_size_prior_matches_average_oracle(self):
         cfg = DescriptorConfig()
@@ -482,6 +504,16 @@ class TestDumpFormat:
         lines = buf.getvalue().strip().split("\n")
         assert lines[0] == "cells=4,bins=8,metric=bhattacharyya"
         assert len(lines[1].split(",")) == 5 + 128
+
+    @pytest.mark.parametrize("flag", ["7", "-1", "2", "01", "true", ""])
+    def test_degenerate_flag_must_be_zero_or_one(self, flag):
+        d = Descriptor(np.full(128, 1 / 128), 4, 8, Keypoint(20.0, 20.0, 4.0), degenerate=True)
+        header, row = write_descriptors([d]).getvalue().splitlines()
+        fields = row.split(",")
+        assert fields[4] == "1"
+        fields[4] = flag
+        with pytest.raises(ValueError, match="degenerate flag must be 0 or 1"):
+            read_rows(io.StringIO("\n".join([header, ",".join(fields)])))
 
     @pytest.mark.parametrize("column", [0, 1, 2, 3])
     @pytest.mark.parametrize("text", ["inf", "nan"])

@@ -1,8 +1,12 @@
 """Image foundation: I/O, smoothing, gradients, warps, contrast maps."""
 
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitpool.image import (
     AffineContrast,
@@ -259,6 +263,56 @@ class TestWarp:
         assert not mask[:, :3].any()
         assert mask[:, 3:].all()
         npt.assert_array_equal(out.values[:, 3:], img.values[:, :-3])
+
+
+@st.composite
+def similarities(draw):
+    """Random similarity: log-scale in [-1, 1], any rotation, shifts up to 15 px."""
+    return SimilarityTransform(
+        math.exp(draw(st.floats(-1.0, 1.0))),
+        draw(st.floats(-2.0 * math.pi, 2.0 * math.pi)),
+        (draw(st.floats(-15.0, 15.0)), draw(st.floats(-15.0, 15.0))),
+    )
+
+
+@st.composite
+def images_and_boxes(draw):
+    """A noise image and an inclusive box (u0, u1, v0, v1) in it; each edge
+    of the box lies on the image border about half the time."""
+    w, h = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    img = textures.filtered_noise(w, h, seed=draw(st.integers(0, 2**32 - 1)))
+
+    def span(n):
+        lo = draw(st.just(0) | st.integers(0, n - 1))
+        hi = draw(st.just(n - 1) | st.integers(lo, n - 1))
+        return lo, hi
+
+    return img, span(w) + span(h)
+
+
+class TestWindowedWarp:
+    @settings(max_examples=150, deadline=None)
+    @given(images_and_boxes(), similarities())
+    def test_box_is_crop_of_whole_warp(self, case, g):
+        img, (u0, u1, v0, v1) = case
+        whole, whole_mask = warp(img, g)
+        crop, mask = warp(img, g, (u0, u1, v0, v1))
+        npt.assert_array_equal(crop.values, whole.values[v0 : v1 + 1, u0 : u1 + 1])
+        npt.assert_array_equal(mask, whole_mask[v0 : v1 + 1, u0 : u1 + 1])
+
+    @pytest.mark.parametrize("box", [(0, 8, 0, 3), (0, 3, -1, 3), (3, 2, 0, 3), (0, 0, 4, 3)])
+    def test_box_outside_image_rejected(self, box):
+        img = textures.filtered_noise(8, 5, seed=1)
+        with pytest.raises(ValueError, match="box"):
+            warp(img, SimilarityTransform.identity(), box)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 33), st.integers(0, 2**32 - 1), st.integers(-8, 8))
+    def test_quarter_turn_is_pixel_permutation(self, side, seed, turns):
+        img = textures.filtered_noise(side, side, seed=seed)
+        out, mask = warp(img, SimilarityTransform(rotation=turns * math.pi / 2.0))
+        assert mask.all()
+        npt.assert_array_equal(out.values, np.rot90(img.values, -turns))
 
 
 class TestSimilarityTransform:

@@ -1,10 +1,13 @@
 """Orbit sampling: template construction, anti-aliased scores, max rule."""
 
 import io
+import math
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitpool import textures
 from orbitpool.descriptor import (
@@ -12,7 +15,9 @@ from orbitpool.descriptor import (
     DescriptorConfig,
     Keypoint,
     accumulate_grid,
+    normalize_grid,
     single_size_descriptor,
+    window_box,
 )
 from orbitpool.image import SimilarityTransform, SupportError, compute_gradients, warp
 from orbitpool.soa import (
@@ -23,6 +28,7 @@ from orbitpool.soa import (
     build_template,
     delta_perturbation,
     load_template,
+    perturbation_grid,
     save_template,
     soa_likelihood,
 )
@@ -118,6 +124,143 @@ class TestBuildTemplate:
         )
         with pytest.raises(SupportError):
             build_template(img, Keypoint(31.5, 31.5, 12.0), samples)
+
+
+def whole_image_template(img, kp, samples, cfg):
+    """Template descriptors from whole-image warps: warp the whole image,
+    take its gradients, accumulate at the moved keypoint."""
+    size = cfg.support_factor * kp.base_size
+    descriptors = []
+    for g_i, cloud in zip(samples.samples, samples.anti_alias):
+        pooled = np.zeros(cfg.length)
+        for g, weight in cloud:
+            composed = g_i.compose(g)
+            warped, mask = warp(img, composed)
+            u, v = composed.map_pixel((kp.u, kp.v), img.center)
+            moved = Keypoint(float(u), float(v), kp.base_size, kp.orientation)
+            u0, u1, v0, v1 = window_box(moved, size, mask.shape)
+            if not mask[v0 : v1 + 1, u0 : u1 + 1].all():
+                raise SupportError(
+                    f"warped support at ({moved.u:.1f}, {moved.v:.1f}) leaves the image domain"
+                )
+            pooled += accumulate_grid(compute_gradients(warped), moved, (size,), (weight,), cfg)
+        descriptors.append(normalize_grid(pooled, kp, cfg).values)
+    return descriptors
+
+
+@st.composite
+def border_cases(draw):
+    """An image, a keypoint and one or two transform samples under either
+    cloud, such that the first sample moves the keypoint's window to end
+    between 1 px outside and 4 px inside one image border."""
+    w = draw(st.integers(36, 60))
+    h = draw(st.just(w) | st.integers(36, 60))
+    img = textures.filtered_noise(w, h, seed=draw(st.integers(0, 2**32 - 1)))
+    cfg = DescriptorConfig()
+    base = draw(st.floats(1.5, 4.0))
+    orientation = draw(st.just(0.0) | st.floats(0.0, 2.0 * math.pi, exclude_max=True))
+    turn = st.integers(0, 3).map(lambda k: k * math.pi / 2.0)
+    # mostly zooming in, so that windows near a border are often covered
+    transform = st.builds(
+        SimilarityTransform,
+        st.floats(-0.1, 0.4).map(math.exp),
+        turn | st.tuples(turn, st.floats(-0.1, 0.1)).map(sum),
+        st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    )
+    samples = draw(st.lists(transform, min_size=1, max_size=2))
+    cloud = draw(st.sampled_from([delta_perturbation(), perturbation_grid()]))
+
+    # half the width of the rotated window's bounding box
+    reach = 0.5 * cfg.support_factor * base * (abs(math.cos(orientation)) + abs(math.sin(orientation)))
+    gap = draw(st.floats(-1.0, 4.0))
+    border = draw(st.sampled_from(["left", "right", "top", "bottom"]))
+    along = draw(st.floats(0.0, 1.0))
+    if border in ("left", "right"):
+        u = gap + reach if border == "left" else w - 1 - gap - reach
+        v = reach + along * (h - 1 - 2 * reach)
+    else:
+        v = gap + reach if border == "top" else h - 1 - gap - reach
+        u = reach + along * (w - 1 - 2 * reach)
+    su, sv = samples[0].inverse().map_pixel((u, v), img.center)
+    kp = Keypoint(float(su), float(sv), base, orientation)
+    return img, kp, GroupSampleSet(tuple(samples), (cloud,) * len(samples)), cfg
+
+
+class TestWindowedTemplate:
+    """build_template warps and differentiates one window box per view; the
+    whole-image path above is its oracle, bit for bit and error for error."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(border_cases())
+    def test_matches_whole_image_warps(self, case):
+        img, kp, samples, cfg = case
+        try:
+            want = whole_image_template(img, kp, samples, cfg)
+        except SupportError as exc:
+            with pytest.raises(SupportError) as got:
+                build_template(img, kp, samples, cfg)
+            assert str(got.value) == str(exc)
+            return
+        got = build_template(img, kp, samples, cfg)
+        for d, values in zip(got.descriptors, want):
+            npt.assert_array_equal(d.values, values)
+
+    def test_window_on_the_border_after_rounding(self):
+        # The window's right edge is 70 + 2**-47, which rounds to 70, the
+        # last column; shifted into its crop the same edge is 44 + 2**-47,
+        # which is exact and so one ulp past the crop.  The view must
+        # still give the whole image's descriptor.
+        img = textures.filtered_noise(71, 61, seed=1)
+        kp = Keypoint(50.0 + 2.0**-47, 30.0, 20.0)
+        cfg = DescriptorConfig(support_factor=2.0)
+        samples = GroupSampleSet((SimilarityTransform.identity(),), (delta_perturbation(),))
+        got = build_template(img, kp, samples, cfg)
+        npt.assert_array_equal(got.descriptors[0].values, whole_image_template(img, kp, samples, cfg)[0])
+
+    @pytest.mark.parametrize("anti_alias", ["delta", "grid"])
+    @pytest.mark.parametrize(
+        "kp",
+        [Keypoint(30.0, 30.0, 4.0), Keypoint(6.0, 30.0, 2.0), Keypoint(30.0, 56.25, 1.5)],
+    )
+    def test_window_edges_on_pixels(self, kp, anti_alias):
+        # A window edge that falls on a pixel puts that pixel in the
+        # window, so its gradient reads the full GRADIENT_MARGIN of the crop.
+        img = textures.filtered_noise(64, 64, seed=11)
+        cfg = DescriptorConfig()
+        samples = GroupSampleSet.rotation_group(4, anti_alias=anti_alias)
+        got = build_template(img, kp, samples, cfg)
+        for d, values in zip(got.descriptors, whole_image_template(img, kp, samples, cfg)):
+            npt.assert_array_equal(d.values, values)
+
+    @pytest.mark.parametrize(
+        "sample, kp, message",
+        [
+            # the moved window leaves the image
+            (
+                SimilarityTransform(translation=(-27.0, 0.0)),
+                Keypoint(31.5, 31.5, 4.0),
+                "window sides out of bounds at (4.5, 31.5) rotated by 0.000 in the 64x64 image: 12.00",
+            ),
+            # the moved window is inside the image but not inside the warp
+            (
+                SimilarityTransform(scale=0.5, translation=(10.0, 5.0)),
+                Keypoint(31.5, 31.5, 12.0),
+                "warped support at (41.5, 36.5) leaves the image domain",
+            ),
+        ],
+    )
+    def test_support_errors_name_whole_image_coordinates(self, sample, kp, message):
+        img = textures.filtered_noise(64, 64, seed=3)
+        samples = GroupSampleSet((sample,), (delta_perturbation(),))
+        with pytest.raises(SupportError) as exc:
+            build_template(img, kp, samples)
+        assert str(exc.value) == message
+
+    def test_too_small_image_names_whole_image(self):
+        img = textures.filtered_noise(40, 2, seed=3)
+        samples = GroupSampleSet((SimilarityTransform.identity(),), (delta_perturbation(),))
+        with pytest.raises(ValueError, match="image too small for gradients: 40x2"):
+            build_template(img, Keypoint(20.0, 0.5, 0.1), samples)
 
 
 class TestAntiAliasedScore:
