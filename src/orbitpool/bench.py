@@ -23,8 +23,9 @@ from .descriptor import (
     DescriptorConfig,
     Keypoint,
     SizePrior,
-    dsp_descriptor,
+    accumulate_grids,
     grid_keypoints,
+    normalize_grids,
 )
 from .image import (
     AffineContrast,
@@ -322,43 +323,40 @@ def describe(
 
     Returns the indices of the kept keypoints, their descriptor matrix,
     and a per-row degenerate flag.  Keypoints whose window leaves the
-    image are dropped.  Histogram kinds go through ``dsp_descriptor`` and
-    scattering kinds through ``dsp_scatter``, both at window side
-    multiplier * base_size * ``cfg.support_factor``: ``sift`` and ``sc``
-    under the delta prior, ``dsp-sift`` and ``dsp-sc`` under ``prior``.
-    A histogram is degenerate when its window has no gradient mass, a
-    scattering row when the norm of its wavelet coefficients is at most
+    image are dropped.  Histogram kinds take one ``accumulate_grids``
+    pass over all keypoints and scattering kinds one ``dsp_scatter`` call
+    per keypoint, both at window side multiplier * base_size *
+    ``cfg.support_factor``: ``sift`` and ``sc`` under the delta prior,
+    ``dsp-sift`` and ``dsp-sc`` under ``prior``.  A histogram is
+    degenerate when its window has no gradient mass, a scattering row
+    when the norm of its wavelet coefficients is at most
     ``SCATTER_FLAT_TOL`` times its order-0 mean; such a row is all zeros.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown descriptor kind {kind!r}, expected one of {KINDS}")
-    histogram = kind in ("sift", "dsp-sift")
-    if histogram:
-        fld = compute_gradients(img)
     if kind in ("sift", "sc"):
         prior = SizePrior.delta()
+    if kind in ("sift", "dsp-sift"):
+        sides = prior.sides([kp.base_size for kp in keypoints], cfg.support_factor)
+        kept, raw = accumulate_grids(compute_gradients(img), keypoints, sides, prior.weights, cfg)
+        rows, degenerate = normalize_grids(raw, cfg)
+        return kept, (rows if kept else np.zeros((0, 1))), degenerate
     kept, rows, degenerate = [], [], []
     for i, kp in enumerate(keypoints):
         try:
-            if histogram:
-                d = dsp_descriptor(fld, kp, prior, cfg)
-            else:
-                vec = dsp_scatter(img, kp, prior, bank, cfg.support_factor)
+            vec = dsp_scatter(img, kp, prior, bank, cfg.support_factor)
         except SupportError:
             continue
-        if not histogram:
-            # order 0 is the local mean: brightness, not structure.  It
-            # dominates the raw norm, so drop it and l2-normalize the
-            # wavelet orders before euclidean matching, unless all they
-            # hold is round-off.
-            flat = vec.flatten()[1:]
-            norm = np.linalg.norm(flat)
-            if norm <= SCATTER_FLAT_TOL * abs(vec.order0):
-                row, flag = np.zeros_like(flat), True
-            else:
-                row, flag = flat / norm, False
+        # order 0 is the local mean: brightness, not structure.  It
+        # dominates the raw norm, so drop it and l2-normalize the
+        # wavelet orders before euclidean matching, unless all they
+        # hold is round-off.
+        flat = vec.flatten()[1:]
+        norm = np.linalg.norm(flat)
+        if norm <= SCATTER_FLAT_TOL * abs(vec.order0):
+            row, flag = np.zeros_like(flat), True
         else:
-            row, flag = d.values, d.degenerate
+            row, flag = flat / norm, False
         kept.append(i)
         rows.append(row)
         degenerate.append(flag)

@@ -22,7 +22,14 @@ import numpy as np
 from scipy import ndimage
 
 from .image import GradientField, ImageBuffer, SupportError, gaussian_blur
-from .orientation import CircularKernel, SpatialKernel, pooled_histogram, soft_vote
+from .orientation import (
+    CircularKernel,
+    SpatialKernel,
+    pooled_histogram,
+    soft_vote,
+    vote_kernel,
+    wrap_angle,
+)
 
 __all__ = [
     "Keypoint",
@@ -35,7 +42,9 @@ __all__ = [
     "window_box",
     "window_inside",
     "accumulate_grid",
+    "accumulate_grids",
     "normalize_grid",
+    "normalize_grids",
     "single_size_descriptor",
     "dsp_descriptor",
     "descriptor_distance",
@@ -115,6 +124,14 @@ class SizePrior:
     @property
     def weights(self) -> Tuple[float, ...]:
         return tuple(w for _, w in self.samples)
+
+    def sides(self, base_sizes: Sequence[float], support_factor: float) -> List[List[float]]:
+        """Window sides multiplier * base_size * support_factor.
+
+        One row per base size, one column per sample.
+        """
+        multipliers = self.multipliers
+        return [[m * base * support_factor for m in multipliers] for base in base_sizes]
 
 
 @dataclass(frozen=True)
@@ -286,13 +303,28 @@ def principal_orientations(field: GradientField, kp: Keypoint) -> List[float]:
 
 
 def _window_extent(kp: Keypoint, size: float) -> Tuple[float, float, float, float]:
-    """Least and greatest u, then v, over the corners of the keypoint's window."""
+    """Least and greatest u, then v, over the corners of the keypoint's window.
+
+    The corners of the square of side ``size`` sit at (u + c*ex - s*ey,
+    v + s*ex + c*ey) for ex, ey = +-size/2, with c and s the cosine and
+    sine of the orientation.  The terms differ between corners only in
+    sign and rounding is monotone, so each bound is the corner sum with
+    both terms signed alike, to the bit.
+    """
     half = size / 2.0
-    c, s = math.cos(kp.orientation), math.sin(kp.orientation)
-    corners = ((-half, -half), (half, -half), (-half, half), (half, half))
-    us = [kp.u + c * ex - s * ey for ex, ey in corners]
-    vs = [kp.v + s * ex + c * ey for ex, ey in corners]
-    return min(us), max(us), min(vs), max(vs)
+    cu = abs(math.cos(kp.orientation)) * half
+    su = abs(math.sin(kp.orientation)) * half
+    return kp.u - cu - su, kp.u + cu + su, kp.v - su - cu, kp.v + su + cu
+
+
+def _inside(extent: Tuple[float, float, float, float], shape: Tuple[int, int]) -> bool:
+    """Whether an extent from ``_window_extent`` lies inside an image of ``shape``.
+
+    A non-finite extent (an overflowing side) counts as leaving the image.
+    """
+    umin, umax, vmin, vmax = extent
+    h, w = shape
+    return umin >= 0 and umax <= w - 1 and vmin >= 0 and vmax <= h - 1
 
 
 def window_box(kp: Keypoint, size: float, shape: Tuple[int, int]) -> Tuple[int, int, int, int]:
@@ -318,25 +350,153 @@ def window_inside(kp: Keypoint, size: float, shape: Tuple[int, int]) -> bool:
     The window is the same rotated square as in ``window_box``; a
     non-finite extent (an overflowing side) counts as leaving the image.
     """
-    umin, umax, vmin, vmax = _window_extent(kp, size)
-    h, w = shape
-    return umin >= 0 and umax <= w - 1 and vmin >= 0 and vmax <= h - 1
+    return _inside(_window_extent(kp, size), shape)
 
 
-def _check_support(field: GradientField, kp: Keypoint, sides: Sequence[float]) -> None:
-    """Raise one SupportError naming every side whose window leaves the image.
+# keypoints whose windows are gathered, voted and kernel-weighted together
+GRID_CHUNK = 8
 
-    The windows are concentric squares at one rotation, so none leaves
-    unless the largest does.
+
+def accumulate_grids(
+    field: GradientField,
+    kps: Sequence[Keypoint],
+    sides: Sequence[Sequence[float]],
+    weights: Sequence[float],
+    cfg: DescriptorConfig,
+) -> Tuple[List[int], np.ndarray]:
+    """Un-normalized C x C x B grids of many keypoints, each summed over its windows.
+
+    ``sides`` holds one row of window sides per keypoint and ``weights``
+    one weight per column.  Every window is a square of its side in the
+    keypoint's rotated frame, cut into the same C x C cells.  A valid
+    pixel inside a window adds weight * magnitude * (Gaussian weight about
+    its cell's centre) to that cell; the grid is linear in these votes, so
+    all cells of all windows take one soft vote over the pixels of the
+    largest window.
+
+    Returns the indices of the keypoints whose largest window lies inside
+    the image, and their flat grids, one row each; the others are dropped.
+    Keypoints are taken ``GRID_CHUNK`` at a time.  Within a chunk the
+    orientation kernel is evaluated once per pixel and keypoint
+    orientation, however many windows hold the pixel, and each grid is
+    the same sum, in the same order, as for its keypoint alone.
     """
+    weights = [float(x) for x in weights]
+    if not weights:
+        raise ValueError("need at least one window side")
+    sides = np.asarray(sides, dtype=float).reshape(-1, len(weights))
+    if len(sides) != len(kps):
+        raise ValueError(f"{len(sides)} rows of sides for {len(kps)} keypoints")
     shape = field.magnitude.shape
-    if not window_inside(kp, max(sides), shape):
-        bad = ", ".join(f"{side:.2f}" for side in sides if not window_inside(kp, side, shape))
-        h, w = shape
-        raise SupportError(
-            f"window sides out of bounds at ({kp.u:.1f}, {kp.v:.1f}) "
-            f"rotated by {kp.orientation:.3f} in the {w}x{h} image: {bad}"
-        )
+    kept, geometry, boxes = [], [], []
+    for i, (kp, largest) in enumerate(zip(kps, sides.max(axis=1).tolist())):
+        extent = _window_extent(kp, largest)
+        if _inside(extent, shape):
+            # the window lies inside the image, so its box needs no clipping
+            umin, umax, vmin, vmax = extent
+            kept.append(i)
+            geometry.append((kp.u, kp.v, kp.orientation, largest))
+            boxes.append((math.floor(umin), math.ceil(umax), math.floor(vmin), math.ceil(vmax)))
+    u, v, theta, largest = np.array(geometry).reshape(-1, 4).T
+    u0, u1, v0, v1 = np.array(boxes, dtype=np.intp).reshape(-1, 4).T
+    sides = sides[kept]
+    grids = np.empty((len(kept), cfg.length))
+    for start in range(0, len(kept), GRID_CHUNK):
+        chunk = slice(start, start + GRID_CHUNK)
+        box = u0[chunk], u1[chunk], v0[chunk], v1[chunk]
+        pixels = _window_pixels(field, u[chunk], v[chunk], theta[chunk], largest[chunk], box)
+        grids[chunk] = _vote_grids(field, pixels, theta[chunk], sides[chunk], weights, cfg)
+    return kept, grids
+
+
+def _window_pixels(field, u, v, theta, largest, box):
+    """The valid pixels of each keypoint's largest window, in row-major order.
+
+    Works over each keypoint's window box, padded at its right and bottom
+    to the largest box of the chunk.  A padding pixel lies a pixel or more
+    outside its keypoint's window, far beyond round-off, so the window
+    test drops it.  Returns the flat image index of every selected pixel,
+    keypoint after keypoint, its offsets ex and ey in the keypoint's
+    rotated frame, and the number of pixels per keypoint.
+    """
+    h, w = field.magnitude.shape
+    u0, u1, v0, v1 = box
+    cols = u0[:, None] + np.arange((u1 - u0).max() + 1)
+    rows = v0[:, None] + np.arange((v1 - v0).max() + 1)
+    pix = (np.minimum(rows, h - 1) * w)[:, :, None] + np.minimum(cols, w - 1)[:, None, :]
+    du = (cols - u[:, None])[:, None, :]
+    dv = (rows - v[:, None])[:, :, None]
+    c, s = np.array([(math.cos(-t), math.sin(-t)) for t in theta]).T[:, :, None, None]
+    ex = c * du - s * dv
+    ey = s * du + c * dv
+    sel = np.maximum(np.abs(ex), np.abs(ey)) <= (largest / 2.0)[:, None, None]
+    sel &= field.valid.reshape(-1)[pix]
+    return pix[sel], ex[sel], ey[sel], sel.sum(axis=(1, 2))
+
+
+def _vote_grids(field, pixels, theta, sides, weights, cfg):
+    """Raw grids of one chunk of keypoints from their selected pixels."""
+    pix, ex, ey, counts = pixels
+    C = cfg.cells
+    n = pix.size
+    # a value per keypoint, spread over its pixels (one keypoint's
+    # broadcasts as it is)
+    def per_pixel(x):
+        return x if counts.size == 1 else np.repeat(x, counts)
+
+    orientation = field.orientation.reshape(-1)
+    mag = field.magnitude.reshape(-1)[pix]
+    rel = wrap_angle(orientation[pix] - per_pixel(theta))
+    reach = np.maximum(np.abs(ex), np.abs(ey))
+
+    # one row of pixel weights per cell, summed over the windows from 0.0
+    # on, one side at a time; the votes of a pixel outside a side go to a
+    # last, discarded row
+    votes = np.zeros((C * C + 1) * n)
+    index = np.arange(n)
+    cells = sides / C
+    halves = sides / 2.0
+    sigma_k = cfg.kappa_fraction * cells
+    variances = sigma_k * sigma_k
+    for j, weight in enumerate(weights):
+        half, cell, var = per_pixel(halves[:, j]), per_pixel(cells[:, j]), per_pixel(variances[:, j])
+        cx = np.minimum(np.floor((ex + half) / cell), C - 1)
+        cy = np.minimum(np.floor((ey + half) / cell), C - 1)
+        dcx = ex - ((cx + 0.5) * cell - half)
+        dcy = ey - ((cy + 0.5) * cell - half)
+        row = np.where(reach <= half, cy * C + cx, C * C)
+        vote = weight * mag * np.exp(-0.5 * (dcx * dcx + dcy * dcy) / var)
+        votes[(row * n + index).astype(np.intp)] += vote
+    votes = votes.reshape(C * C + 1, n)[: C * C]
+
+    # the kernel depends on a pixel's orientation relative to its
+    # keypoint alone: evaluate it once per pixel and orientation, then
+    # give each keypoint its own contiguous columns, in its own pixel
+    # order, so that its product sums exactly as for that keypoint alone
+    kernel = cfg.kernel()
+    bounds = [0, *np.cumsum(counts).tolist()]
+    own = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+    groups: Dict[float, List[int]] = {}
+    for k, t in enumerate(theta.tolist()):
+        groups.setdefault(t, []).append(k)
+    grids = np.empty((counts.size, cfg.length))
+    for t, members in groups.items():
+        if len(members) == 1:
+            # alone at its orientation, a keypoint shares no evaluation
+            (k,) = members
+            own_votes = np.ascontiguousarray(votes[:, own[k]])
+            grids[k] = soft_vote(rel[own[k]], own_votes, kernel, cfg.bins).ravel()
+            continue
+        group = np.concatenate([pix[own[k]] for k in members])
+        union, column = np.unique(group, return_inverse=True)
+        shared = vote_kernel(wrap_angle(orientation[union] - t), kernel, cfg.bins)
+        start = 0
+        for k in members:
+            stop = start + counts[k]
+            own_votes = np.ascontiguousarray(votes[:, own[k]])
+            grids[k] = (shared.take(column[start:stop], axis=1) @ own_votes.T).T.ravel()
+            start = stop
+    return grids
 
 
 def accumulate_grid(
@@ -346,59 +506,39 @@ def accumulate_grid(
     weights: Sequence[float],
     cfg: DescriptorConfig,
 ) -> np.ndarray:
-    """Un-normalized C x C x B grid, summed over windows with the given weights.
+    """The grid of ``accumulate_grids`` for one keypoint.
 
-    ``sides`` and ``weights`` pair up one to one.  Every window is a square
-    of one of ``sides`` in the keypoint's rotated frame, cut into the same
-    C x C cells.  A valid pixel inside a window
-    adds weight * magnitude * (Gaussian weight about its cell's centre) to
-    that cell; the grid is linear in these votes, so all cells of all
-    windows take one soft vote over the pixels of the largest window.
     This is the one support check of every descriptor: when the largest
     window leaves the image, one SupportError lists each side that does.
     """
-    _check_support(field, kp, sides)
-    largest = max(sides)
-    u0, u1, v0, v1 = window_box(kp, largest, field.magnitude.shape)
-
-    du = np.arange(u0, u1 + 1, dtype=float) - kp.u
-    dv = np.arange(v0, v1 + 1, dtype=float)[:, None] - kp.v
-    c, s = math.cos(-kp.orientation), math.sin(-kp.orientation)
-    ex = c * du - s * dv
-    ey = s * du + c * dv
-
-    half = largest / 2.0
-    sel = (np.abs(ex) <= half) & (np.abs(ey) <= half) & field.valid[v0 : v1 + 1, u0 : u1 + 1]
-    ex, ey = ex[sel], ey[sel]
-    mag = field.magnitude[v0 : v1 + 1, u0 : u1 + 1][sel]
-    rel = np.mod(field.orientation[v0 : v1 + 1, u0 : u1 + 1][sel] - kp.orientation, 2.0 * np.pi)
-
-    # one row of pixel weights per cell, summed over the windows
-    votes = np.zeros((cfg.cells * cfg.cells, rel.size))
-    for side, weight in zip(sides, weights, strict=True):
-        half = side / 2.0
-        cell = side / cfg.cells
-        pix = np.flatnonzero((np.abs(ex) <= half) & (np.abs(ey) <= half))
-        wx, wy = ex[pix], ey[pix]
-        cx = np.clip(np.floor((wx + half) / cell).astype(int), 0, cfg.cells - 1)
-        cy = np.clip(np.floor((wy + half) / cell).astype(int), 0, cfg.cells - 1)
-        sigma_k = cfg.kappa_fraction * cell
-        centers = (np.arange(cfg.cells) + 0.5) * cell - half
-        dcx = wx - centers[cx]
-        dcy = wy - centers[cy]
-        votes[cy * cfg.cells + cx, pix] += (
-            weight * mag[pix] * np.exp(-0.5 * (dcx * dcx + dcy * dcy) / (sigma_k * sigma_k))
+    kept, grids = accumulate_grids(field, [kp], [sides], weights, cfg)
+    if not kept:
+        shape = field.magnitude.shape
+        bad = ", ".join(f"{side:.2f}" for side in sides if not window_inside(kp, side, shape))
+        h, w = shape
+        raise SupportError(
+            f"window sides out of bounds at ({kp.u:.1f}, {kp.v:.1f}) "
+            f"rotated by {kp.orientation:.3f} in the {w}x{h} image: {bad}"
         )
-    return soft_vote(rel, votes, cfg.kernel(), cfg.bins).ravel()
+    return grids[0]
+
+
+def normalize_grids(raw: np.ndarray, cfg: DescriptorConfig) -> Tuple[np.ndarray, np.ndarray]:
+    """l1-normalize raw grids row by row; a zero row gives the uniform row, flagged degenerate.
+
+    Returns the normalized rows and the per-row degenerate flags.
+    """
+    total = raw.sum(axis=1, keepdims=True)
+    degenerate = ~(total[:, 0] > 0)
+    rows = raw / np.where(degenerate[:, None], 1.0, total)
+    rows[degenerate] = 1.0 / cfg.length
+    return rows, degenerate
 
 
 def normalize_grid(raw: np.ndarray, kp: Keypoint, cfg: DescriptorConfig) -> Descriptor:
     """l1-normalize a raw grid; a zero grid gives the uniform, degenerate descriptor."""
-    total = raw.sum()
-    if total > 0:
-        return Descriptor(raw / total, cfg.cells, cfg.bins, kp)
-    uniform = np.full(cfg.length, 1.0 / cfg.length)
-    return Descriptor(uniform, cfg.cells, cfg.bins, kp, degenerate=True)
+    rows, degenerate = normalize_grids(raw[None, :], cfg)
+    return Descriptor(rows[0], cfg.cells, cfg.bins, kp, degenerate=bool(degenerate[0]))
 
 
 def single_size_descriptor(
@@ -428,7 +568,7 @@ def dsp_descriptor(
     bit-identical to ``single_size_descriptor`` at side base_size *
     support_factor.
     """
-    sides = [m * kp.base_size * cfg.support_factor for m in prior.multipliers]
+    (sides,) = prior.sides([kp.base_size], cfg.support_factor)
     return normalize_grid(accumulate_grid(field, kp, sides, prior.weights, cfg), kp, cfg)
 
 
@@ -474,17 +614,23 @@ def write_rows(
 
 
 def read_rows(stream: TextIO) -> Tuple[Dict[str, str], List[Tuple[Keypoint, bool, np.ndarray]]]:
-    """Parse the format written by write_rows into header fields and rows."""
+    """Parse the format written by write_rows into header fields and rows.
+
+    Malformed input raises ``ValueError``.
+    """
     header = stream.readline().strip()
     fields = dict(part.split("=", 1) for part in header.split(",") if "=" in part)
     rows = []
-    for line in csv.reader(stream):
-        if not line:
-            continue
-        if len(line) < 6:
-            raise ValueError(f"row of {len(line)} fields, expected at least 6")
-        kp = Keypoint(float(line[0]), float(line[1]), float(line[2]), float(line[3]))
-        if line[4] not in ("0", "1"):
-            raise ValueError(f"degenerate flag must be 0 or 1, got {line[4]!r}")
-        rows.append((kp, line[4] == "1", np.array([float(x) for x in line[5:]])))
+    try:
+        for line in csv.reader(stream):
+            if not line:
+                continue
+            if len(line) < 6:
+                raise ValueError(f"row of {len(line)} fields, expected at least 6")
+            kp = Keypoint(float(line[0]), float(line[1]), float(line[2]), float(line[3]))
+            if line[4] not in ("0", "1"):
+                raise ValueError(f"degenerate flag must be 0 or 1, got {line[4]!r}")
+            rows.append((kp, line[4] == "1", np.array([float(x) for x in line[5:]])))
+    except csv.Error as exc:
+        raise ValueError(f"malformed row: {exc}") from exc
     return fields, rows

@@ -127,9 +127,14 @@ class SimilarityTransform:
     translation: tuple = (0.0, 0.0)
 
     def __post_init__(self):
+        translation = (float(self.translation[0]), float(self.translation[1]))
+        fields = (("scale", (self.scale,)), ("rotation", (self.rotation,)), ("translation", translation))
+        for name, values in fields:
+            if not all(math.isfinite(x) for x in values):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.scale > 0:
             raise ValueError(f"scale must be positive, got {self.scale}")
-        object.__setattr__(self, "translation", (float(self.translation[0]), float(self.translation[1])))
+        object.__setattr__(self, "translation", translation)
 
     @classmethod
     def identity(cls):

@@ -28,7 +28,25 @@ __all__ = [
     "pooled_histogram",
     "normalize",
     "soft_vote",
+    "vote_kernel",
+    "wrap_angle",
 ]
+
+TWO_PI = 2.0 * np.pi
+
+
+def wrap_angle(angles) -> np.ndarray:
+    """``np.mod(angles, 2*pi)``, bit for bit, as a float array.
+
+    On [-2*pi, 4*pi) ``fmod`` returns the input or the input minus 2*pi,
+    both exact, and ``np.mod`` adds 2*pi only to a negative remainder, so
+    one conditional shift by 2*pi gives the same bits, a few times faster.
+    Inputs outside that range, or NaN, take ``np.mod`` itself.
+    """
+    a = np.asarray(angles, dtype=float)
+    if a.size and a.min() >= -TWO_PI and a.max() < 2.0 * TWO_PI:
+        return np.where(a >= TWO_PI, a - TWO_PI, a + (a < 0) * TWO_PI)
+    return np.mod(a, TWO_PI)
 
 
 def bin_centers(bins: int) -> np.ndarray:
@@ -36,6 +54,11 @@ def bin_centers(bins: int) -> np.ndarray:
     if bins < 1:
         raise ValueError(f"need at least one bin, got {bins}")
     return np.arange(bins) * (2.0 * np.pi / bins)
+
+
+# Up to this bandwidth a CircularKernel's branches at +-2 turns change no bit
+# of its sum (see ``CircularKernel.__call__``).
+_NARROW_BANDWIDTH = math.pi / math.sqrt(10.0)
 
 
 @dataclass(frozen=True)
@@ -56,16 +79,23 @@ class CircularKernel:
 
     def __call__(self, delta):
         delta = np.asarray(delta, dtype=float)
-        two_pi = 2.0 * np.pi
-        # wrap into [-pi, pi) first so every branch is as close to its
+        # wrap into [-pi, pi] first so every branch is as close to its
         # Gaussian center as possible
-        delta = np.mod(delta + np.pi, two_pi) - np.pi
+        delta = wrap_angle(delta + np.pi) - np.pi
         inv = 1.0 / self.bandwidth
         norm = inv / math.sqrt(2.0 * np.pi)
-        total = np.zeros_like(delta)
-        for k in range(-2, 3):
-            z = (delta + two_pi * k) * inv
-            total = total + np.exp(-0.5 * z * z)
+        # The branches are summed from k = -2 up, starting from the first
+        # (all are nonnegative, so that is the same as starting from 0.0).
+        # On [-pi, pi] branch k = +-2 is at most exp(-4 pi^2 / bandwidth^2)
+        # times branch k = +-1, below 2**-54 when the bandwidth is at most
+        # pi / sqrt(10): added first or last it then rounds away, and is
+        # skipped.
+        turns = (-1, 0, 1) if self.bandwidth <= _NARROW_BANDWIDTH else (-2, -1, 0, 1, 2)
+        total = None
+        for k in turns:
+            z = delta * inv if k == 0 else (delta + TWO_PI * k) * inv
+            branch = np.exp(-0.5 * z * z)
+            total = branch if total is None else total + branch
         return total * norm
 
 
@@ -141,11 +171,19 @@ def soft_vote(orientations, weights, kernel: CircularKernel, bins: int) -> np.nd
         weights = weights.ravel()
     if weights.shape[-1] != orientations.size:
         raise ValueError("orientations and weights must have the same length")
-    centers = bin_centers(bins)
     if orientations.size == 0:
         return np.zeros(weights.shape[:-1] + (bins,))
-    delta = centers[:, None] - orientations[None, :]
-    return (kernel(delta) @ weights.T).T
+    return (vote_kernel(orientations, kernel, bins) @ weights.T).T
+
+
+def vote_kernel(orientations, kernel: CircularKernel, bins: int) -> np.ndarray:
+    """The ``(bins, n)`` matrix ``kernel(center_b - a_i)`` that ``soft_vote`` weights.
+
+    Each entry depends on one orientation alone, so a sample's column is
+    the same in whatever set of samples it is evaluated.
+    """
+    orientations = np.asarray(orientations, dtype=float).ravel()
+    return kernel(bin_centers(bins)[:, None] - orientations[None, :])
 
 
 def pooled_histogram(

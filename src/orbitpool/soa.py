@@ -276,8 +276,12 @@ def save_template(template: TemplateModel, out: TextIO) -> None:
 def load_template(stream: TextIO) -> TemplateModel:
     """Parse the CSV format written by save_template."""
     fields, rows = read_rows(stream)
-    cells, bins = int(fields["cells"]), int(fields["bins"])
-    count = int(fields["n"])
+    missing = [key for key in ("n", "cells", "bins") if key not in fields]
+    if missing:
+        raise ValueError(f"template header lacks {', '.join(missing)}")
+    cells, bins, count = int(fields["cells"]), int(fields["bins"]), int(fields["n"])
+    if cells < 1 or bins < 1:
+        raise ValueError(f"template grid must have positive cells and bins, got {cells} and {bins}")
     descriptors = tuple(Descriptor(values, cells, bins, kp, flag) for kp, flag, values in rows)
     if len(descriptors) != count:
         raise ValueError(f"template header promises {count} samples, found {len(descriptors)}")

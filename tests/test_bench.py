@@ -19,8 +19,15 @@ from orbitpool.bench import (
     save_pair,
     synth_pairs,
 )
-from orbitpool.descriptor import DescriptorConfig, Keypoint, SizePrior, dsp_descriptor, grid_keypoints
-from orbitpool.image import ImageBuffer, compute_gradients
+from orbitpool.descriptor import (
+    DescriptorConfig,
+    Keypoint,
+    SizePrior,
+    dog_keypoints,
+    dsp_descriptor,
+    grid_keypoints,
+)
+from orbitpool.image import ImageBuffer, SupportError, compute_gradients
 from orbitpool import textures
 
 
@@ -242,6 +249,30 @@ class TestMatchPair:
         assert degenerate.all()
         if kind in ("sc", "dsp-sc"):
             assert not matrix.any()
+
+    @pytest.mark.parametrize("kind", ["sift", "dsp-sift"])
+    def test_histogram_rows_equal_one_descriptor_per_keypoint(self, kind):
+        # DoG keypoints mix base sizes; the rotated lattice mixes chunks
+        # and crosses the border
+        pair = make_pair(noise_base(21), SynthSpec(scale_range=(1.2, 1.2)), np.random.default_rng(4), name="p")
+        mcfg = MatchConfig()
+        prior = mcfg.prior if kind == "dsp-sift" else SizePrior.delta()
+        for img in (pair.reference, pair.transformed):
+            lattice = grid_keypoints(img, 7, 5.0)
+            rotated = [Keypoint(kp.u + 0.25, kp.v - 0.5, kp.base_size, 0.9) for kp in lattice]
+            for kps in (dog_keypoints(img), rotated):
+                kept, matrix, degenerate = describe(img, kps, kind, mcfg.prior, mcfg.descriptor, None)
+                field = compute_gradients(img)
+                want = []
+                for i, kp in enumerate(kps):
+                    try:
+                        want.append((i, dsp_descriptor(field, kp, prior, mcfg.descriptor)))
+                    except SupportError:
+                        continue
+                assert 0 < len(kept) < len(kps)
+                assert kept == [i for i, _ in want]
+                assert matrix.tobytes() == np.stack([d.values for _, d in want]).tobytes()
+                assert degenerate.tolist() == [d.degenerate for _, d in want]
 
     def test_brute_force_oracle_on_scale_pair(self):
         pair = make_pair(noise_base(16), SynthSpec(scale_range=(1.2, 1.2)),

@@ -15,15 +15,21 @@ from orbitpool.descriptor import (
     Descriptor,
     DescriptorConfig,
     Keypoint,
+    GRID_CHUNK,
     SizePrior,
     accumulate_grid,
+    accumulate_grids,
     descriptor_distance,
     dog_keypoints,
     dsp_descriptor,
     grid_keypoints,
+    normalize_grid,
+    normalize_grids,
     principal_orientations,
     read_rows,
     single_size_descriptor,
+    window_box,
+    window_inside,
     write_rows,
 )
 from orbitpool.image import (
@@ -36,6 +42,7 @@ from orbitpool.image import (
     gradient_field_of_array,
     warp,
 )
+from orbitpool.orientation import bin_centers
 from conftest import clean_noise_seeds, fold_image, wrapped_gaussian_oracle
 
 
@@ -414,6 +421,170 @@ class TestDescriptorProperties:
         raw = AffineContrast(gain, offset).apply(img.values)
         mapped = dsp_descriptor(gradient_field_of_array(raw), kp, prior)
         npt.assert_allclose(mapped.values, base.values, rtol=0, atol=1e-12)
+
+
+def bits(a):
+    """The exact bit pattern of a float array, for bit-for-bit comparison."""
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+def reference_kernel(delta, bandwidth):
+    """The wrapped Gaussian as five branches after ``np.mod``, summed from k = -2 up."""
+    delta = np.mod(delta + np.pi, 2.0 * np.pi) - np.pi
+    inv = 1.0 / bandwidth
+    total = np.zeros_like(delta)
+    for k in range(-2, 3):
+        z = (delta + 2.0 * np.pi * k) * inv
+        total = total + np.exp(-0.5 * z * z)
+    return total * (inv / math.sqrt(2.0 * np.pi))
+
+
+def reference_extent(kp, size):
+    """Least and greatest u, then v, over the four corners of a keypoint's window."""
+    half = size / 2.0
+    c, s = math.cos(kp.orientation), math.sin(kp.orientation)
+    corners = ((-half, -half), (half, -half), (-half, half), (half, half))
+    us = [kp.u + c * ex - s * ey for ex, ey in corners]
+    vs = [kp.v + s * ex + c * ey for ex, ey in corners]
+    return min(us), max(us), min(vs), max(vs)
+
+
+def reference_grid(field, kp, sides, weights, cfg):
+    """One keypoint's raw grid computed on its own, one side at a time.
+
+    This is the plain per-keypoint arithmetic the batched path must
+    repeat bit for bit; None when the largest window leaves the image.
+    """
+    h, w = field.magnitude.shape
+    largest = max(sides)
+    umin, umax, vmin, vmax = reference_extent(kp, largest)
+    if not (umin >= 0 and umax <= w - 1 and vmin >= 0 and vmax <= h - 1):
+        return None
+    u0, u1, v0, v1 = math.floor(umin), math.ceil(umax), math.floor(vmin), math.ceil(vmax)
+    du = np.arange(u0, u1 + 1, dtype=float) - kp.u
+    dv = np.arange(v0, v1 + 1, dtype=float)[:, None] - kp.v
+    c, s = math.cos(-kp.orientation), math.sin(-kp.orientation)
+    ex = c * du - s * dv
+    ey = s * du + c * dv
+    half = largest / 2.0
+    sel = (np.abs(ex) <= half) & (np.abs(ey) <= half) & field.valid[v0 : v1 + 1, u0 : u1 + 1]
+    ex, ey = ex[sel], ey[sel]
+    mag = field.magnitude[v0 : v1 + 1, u0 : u1 + 1][sel]
+    rel = np.mod(field.orientation[v0 : v1 + 1, u0 : u1 + 1][sel] - kp.orientation, 2.0 * np.pi)
+    C = cfg.cells
+    votes = np.zeros((C * C, rel.size))
+    for side, weight in zip(sides, weights):
+        half, cell = side / 2.0, side / C
+        pix = np.flatnonzero((np.abs(ex) <= half) & (np.abs(ey) <= half))
+        wx, wy = ex[pix], ey[pix]
+        cx = np.clip(np.floor((wx + half) / cell).astype(int), 0, C - 1)
+        cy = np.clip(np.floor((wy + half) / cell).astype(int), 0, C - 1)
+        sigma_k = cfg.kappa_fraction * cell
+        centers = (np.arange(C) + 0.5) * cell - half
+        dcx, dcy = wx - centers[cx], wy - centers[cy]
+        votes[cy * C + cx, pix] += weight * mag[pix] * np.exp(-0.5 * (dcx * dcx + dcy * dcy) / (sigma_k * sigma_k))
+    if rel.size == 0:
+        return np.zeros(cfg.length)
+    kernel = reference_kernel(bin_centers(cfg.bins)[:, None] - rel[None, :], 2.0 * np.pi / cfg.bins)
+    return (kernel @ votes.T).T.ravel()
+
+
+@st.composite
+def keypoint_sets(draw):
+    """Up to three chunks of keypoints: mixed base sizes, shared and own
+    orientations, some with windows touching or crossing the border."""
+    shared = draw(st.floats(0.0, 2 * math.pi, exclude_max=True))
+    position = st.one_of(st.floats(0.0, SIDE - 1.0), st.integers(0, SIDE - 1).map(float))
+    keypoint = st.builds(
+        Keypoint,
+        position,
+        position,
+        st.one_of(st.sampled_from([1.5, 2.0, 2.5]), st.floats(1.0, 3.0)),
+        st.one_of(st.just(0.0), st.just(shared), st.floats(-7.0, 7.0)),
+    )
+    return draw(st.lists(keypoint, max_size=3 * GRID_CHUNK))
+
+
+def half_flat_field(seed):
+    """Noise whose left third is flat, so some windows hold no gradient mass."""
+    values = textures.filtered_noise(SIDE, SIDE, seed=seed).values.copy()
+    values[:, : SIDE // 3] = 0.5
+    return compute_gradients(ImageBuffer.from_array(values))
+
+
+class TestAccumulateGrids:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), keypoint_sets(), keypoints_and_priors())
+    def test_batched_equals_per_keypoint(self, seed, kps, case):
+        _, prior = case
+        cfg = DescriptorConfig()
+        f = half_flat_field(seed)
+        sides = prior.sides([kp.base_size for kp in kps], cfg.support_factor)
+        kept, raw = accumulate_grids(f, kps, sides, prior.weights, cfg)
+        rows, degenerate = normalize_grids(raw, cfg)
+
+        want = [reference_grid(f, kp, sides[i], prior.weights, cfg) for i, kp in enumerate(kps)]
+        assert kept == [i for i, grid in enumerate(want) if grid is not None]
+        npt.assert_array_equal(bits(raw), bits([want[i] for i in kept]).reshape(-1, cfg.length))
+
+        described = []
+        for i, kp in enumerate(kps):
+            try:
+                described.append((i, dsp_descriptor(f, kp, prior, cfg)))
+            except SupportError:
+                continue
+        assert kept == [i for i, _ in described]
+        npt.assert_array_equal(bits(rows), bits([d.values for _, d in described]).reshape(-1, cfg.length))
+        assert degenerate.tolist() == [d.degenerate for _, d in described]
+
+    def test_no_keypoints(self):
+        f = half_flat_field(0)
+        kept, raw = accumulate_grids(f, [], np.zeros((0, 2)), (0.5, 0.5), DescriptorConfig())
+        assert kept == [] and raw.shape == (0, 128)
+
+    def test_sides_must_match_keypoints_and_weights(self):
+        f = half_flat_field(0)
+        kps = [Keypoint(16.0, 16.0, 2.0)] * 2
+        with pytest.raises(ValueError, match="rows of sides"):
+            accumulate_grids(f, kps, [[6.0, 7.0]], (0.5, 0.5), DescriptorConfig())
+        with pytest.raises(ValueError, match="at least one window side"):
+            accumulate_grids(f, kps, np.zeros((2, 0)), (), DescriptorConfig())
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(-50.0, 50.0),
+        st.floats(-50.0, 50.0),
+        st.floats(-10.0, 10.0),
+        st.one_of(st.integers(1, 40).map(float), st.floats(0.01, 40.0)),
+    )
+    def test_window_bounds_match_the_corners(self, u, v, orientation, size):
+        kp = Keypoint(u, v, 1.0, orientation)
+        umin, umax, vmin, vmax = reference_extent(kp, size)
+        shape = (23, 31)
+        assert window_inside(kp, size, shape) == (umin >= 0 and umax <= 30 and vmin >= 0 and vmax <= 22)
+        assert window_box(kp, size, shape) == (
+            max(0, math.floor(umin)), min(30, math.ceil(umax)), max(0, math.floor(vmin)), min(22, math.ceil(vmax))
+        )
+
+    def test_windows_touching_the_border_are_kept(self):
+        f = half_flat_field(3)
+        cfg = DescriptorConfig()
+        # side 6: the window spans [u - 3, u + 3], so u = 3 and u = SIDE - 4 touch the border
+        kps = [Keypoint(3.0, 3.0, 2.0), Keypoint(SIDE - 4.0, SIDE - 4.0, 2.0), Keypoint(2.5, 16.0, 2.0)]
+        kept, _ = accumulate_grids(f, kps, [[6.0]] * 3, (1.0,), cfg)
+        assert kept == [0, 1]
+
+    def test_normalize_grids_rows_match_normalize_grid(self):
+        cfg = DescriptorConfig(cells=1)
+        raw = np.random.default_rng(4).uniform(size=(5, cfg.length))
+        raw[2] = 0.0
+        rows, degenerate = normalize_grids(raw, cfg)
+        kp = Keypoint(0.0, 0.0, 1.0)
+        for row, flag, grid in zip(rows, degenerate, raw):
+            d = normalize_grid(grid, kp, cfg)
+            npt.assert_array_equal(bits(row), bits(d.values))
+            assert flag == d.degenerate
+        assert degenerate.tolist() == [False, False, True, False, False]
 
 
 class TestRotationCanonization:

@@ -333,6 +333,26 @@ class TestSimilarityTransform:
         with pytest.raises(ValueError):
             SimilarityTransform(scale=0.0)
 
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"scale": math.inf}, "scale"),
+            ({"scale": math.nan}, "scale"),
+            ({"rotation": math.nan}, "rotation"),
+            ({"rotation": -math.inf}, "rotation"),
+            ({"translation": (math.inf, 0.0)}, "translation"),
+            ({"translation": (0.0, math.nan)}, "translation"),
+        ],
+    )
+    def test_non_finite_fields_rejected(self, kwargs, field):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SimilarityTransform(**kwargs)
+
+    def test_overflowing_composition_rejected(self):
+        big = SimilarityTransform(scale=1e200)
+        with pytest.raises(ValueError, match="scale must be finite"):
+            big.compose(big)
+
 
 class TestExtractPatch:
     def test_native_side_is_exact_crop(self):

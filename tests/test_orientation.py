@@ -5,6 +5,8 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from orbitpool import textures
 from orbitpool.image import (
@@ -28,6 +30,7 @@ from orbitpool.orientation import (
     normalize,
     pooled_histogram,
     soft_vote,
+    wrap_angle,
 )
 from conftest import clean_noise_seeds, fold_image, wrapped_gaussian_oracle
 
@@ -80,6 +83,52 @@ class TestCircularKernel:
     def test_rejects_bad_bandwidth(self):
         with pytest.raises(ValueError):
             CircularKernel(0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(st.floats(1e-3, 1.6), st.sampled_from([math.pi / math.sqrt(10.0), 2 * math.pi / 8, 1.0])),
+        st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=50),
+    )
+    def test_bit_identical_to_five_branches(self, bandwidth, deltas):
+        # narrow kernels skip the branches at +-2 turns: they must round away
+        edges = [np.pi, -np.pi, np.nextafter(np.pi, 0.0), np.nextafter(-np.pi, 0.0), 0.0, -0.0]
+        delta = np.array(deltas + edges)
+        want = np.mod(delta + np.pi, 2.0 * np.pi) - np.pi
+        inv = 1.0 / bandwidth
+        total = np.zeros_like(want)
+        for k in range(-2, 3):
+            z = (want + 2.0 * np.pi * k) * inv
+            total = total + np.exp(-0.5 * z * z)
+        want = total * (inv / math.sqrt(2.0 * np.pi))
+        npt.assert_array_equal(CircularKernel(bandwidth)(delta).view(np.int64), want.view(np.int64))
+
+
+class TestWrapAngle:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(-2 * np.pi, 4 * np.pi, exclude_max=True), min_size=1, max_size=40))
+    @example([-2 * np.pi, np.nextafter(4 * np.pi, 0.0), 2 * np.pi, np.nextafter(2 * np.pi, 0.0), -0.0, 0.0])
+    @example([-1e-300, 5e-324, np.nextafter(-2 * np.pi, 0.0), np.nextafter(0.0, -1.0), 3 * np.pi])
+    def test_bit_identical_to_mod_on_the_fast_range(self, values):
+        a = np.array(values)
+        npt.assert_array_equal(wrap_angle(a).view(np.int64), np.mod(a, 2 * np.pi).view(np.int64))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40))
+    @example([4 * np.pi, 0.0])
+    @example([np.nextafter(-2 * np.pi, -7.0), 1.0])
+    def test_bit_identical_to_mod_off_the_fast_range(self, values):
+        a = np.array(values)
+        npt.assert_array_equal(wrap_angle(a).view(np.int64), np.mod(a, 2 * np.pi).view(np.int64))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=20))
+    def test_any_input_matches_mod(self, values):
+        a = np.array(values)
+        with np.errstate(invalid="ignore"):
+            npt.assert_array_equal(wrap_angle(a), np.mod(a, 2 * np.pi))
+
+    def test_empty(self):
+        assert wrap_angle([]).shape == (0,)
 
 
 class TestSpatialKernel:

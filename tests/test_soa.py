@@ -426,6 +426,23 @@ class TestTemplateIO:
         with pytest.raises(ValueError, match="finite"):
             load_template(io.StringIO("\n".join([header, first, *rest])))
 
+    @pytest.mark.parametrize("field", ["n", "cells", "bins"])
+    def test_missing_header_field_named(self, field):
+        img = textures.filtered_noise(64, 64, seed=10)
+        t = build_template(img, CENTER_KP, GroupSampleSet.rotation_group(2, anti_alias="delta"))
+        buf = io.StringIO()
+        save_template(t, buf)
+        header, *rows = buf.getvalue().splitlines()
+        header = ",".join(part for part in header.split(",") if not part.startswith(f"{field}="))
+        with pytest.raises(ValueError, match=f"template header lacks {field}"):
+            load_template(io.StringIO("\n".join([header, *rows])))
+
+    @pytest.mark.parametrize("cells, bins", [(0, 8), (-2, 8), (4, 0)])
+    def test_nonpositive_grid_rejected(self, cells, bins):
+        rows = "\n".join(["0.0,0.0,1.0,0.0,1," + ",".join(["0.0"] * 128)] * 2)
+        with pytest.raises(ValueError, match="positive cells and bins"):
+            load_template(io.StringIO(f"source=x,n=2,cells={cells},bins={bins}\n{rows}"))
+
     @pytest.mark.parametrize("source", ["shots/a,b.pgm", "x\ny", "x\ry"])
     def test_header_separators_in_source_rejected(self, source):
         img = textures.filtered_noise(64, 64, seed=10)
