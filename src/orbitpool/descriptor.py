@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, TextIO, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, TextIO, Tuple, Union
 
 import numpy as np
 from scipy import ndimage
@@ -361,18 +361,20 @@ def accumulate_grids(
     field: GradientField,
     kps: Sequence[Keypoint],
     sides: Sequence[Sequence[float]],
-    weights: Sequence[float],
+    weights: Union[Sequence[float], Sequence[Sequence[float]]],
     cfg: DescriptorConfig,
 ) -> Tuple[List[int], np.ndarray]:
     """Un-normalized C x C x B grids of many keypoints, each summed over its windows.
 
-    ``sides`` holds one row of window sides per keypoint and ``weights``
-    one weight per column.  Every window is a square of its side in the
+    ``sides`` holds one row of window sides per keypoint, and ``weights``
+    one weight per column, shared by every keypoint, or one row of
+    weights per keypoint.  Every window is a square of its side in the
     keypoint's rotated frame, cut into the same C x C cells.  A valid
     pixel inside a window adds weight * magnitude * (Gaussian weight about
     its cell's centre) to that cell; the grid is linear in these votes, so
     all cells of all windows take one soft vote over the pixels of the
-    largest window.
+    largest window.  A field of ``(V, h, w)`` layers holds one layer per
+    keypoint, and keypoint k reads layer k alone.
 
     Returns the indices of the keypoints whose largest window lies inside
     the image, and their flat grids, one row each; the others are dropped.
@@ -381,17 +383,21 @@ def accumulate_grids(
     orientation, however many windows hold the pixel, and each grid is
     the same sum, in the same order, as for its keypoint alone.
     """
-    weights = [float(x) for x in weights]
-    if not weights:
+    weights = np.asarray(weights, dtype=float)
+    if weights.ndim not in (1, 2) or not weights.shape[-1]:
         raise ValueError("need at least one window side")
-    sides = np.asarray(sides, dtype=float).reshape(-1, len(weights))
+    sides = np.asarray(sides, dtype=float).reshape(-1, weights.shape[-1])
     if len(sides) != len(kps):
         raise ValueError(f"{len(sides)} rows of sides for {len(kps)} keypoints")
-    shape = field.magnitude.shape
+    if weights.ndim == 2 and len(weights) != len(kps):
+        raise ValueError(f"{len(weights)} rows of weights for {len(kps)} keypoints")
+    *layers, h, w = field.magnitude.shape
+    if layers and layers != [len(kps)]:
+        raise ValueError(f"{layers[0]} field layers for {len(kps)} keypoints")
     kept, geometry, boxes = [], [], []
     for i, (kp, largest) in enumerate(zip(kps, sides.max(axis=1).tolist())):
         extent = _window_extent(kp, largest)
-        if _inside(extent, shape):
+        if _inside(extent, (h, w)):
             # the window lies inside the image, so its box needs no clipping
             umin, umax, vmin, vmax = extent
             kept.append(i)
@@ -399,31 +405,37 @@ def accumulate_grids(
             boxes.append((math.floor(umin), math.ceil(umax), math.floor(vmin), math.ceil(vmax)))
     u, v, theta, largest = np.array(geometry).reshape(-1, 4).T
     u0, u1, v0, v1 = np.array(boxes, dtype=np.intp).reshape(-1, 4).T
+    # each keypoint's first pixel in the flat field
+    origin = np.array(kept, dtype=np.intp) * (h * w) if layers else np.zeros(len(kept), dtype=np.intp)
     sides = sides[kept]
+    if weights.ndim == 2:
+        weights = weights[kept]
     grids = np.empty((len(kept), cfg.length))
     for start in range(0, len(kept), GRID_CHUNK):
         chunk = slice(start, start + GRID_CHUNK)
         box = u0[chunk], u1[chunk], v0[chunk], v1[chunk]
-        pixels = _window_pixels(field, u[chunk], v[chunk], theta[chunk], largest[chunk], box)
-        grids[chunk] = _vote_grids(field, pixels, theta[chunk], sides[chunk], weights, cfg)
+        pixels = _window_pixels(field, u[chunk], v[chunk], theta[chunk], largest[chunk], box, origin[chunk])
+        chunk_weights = weights[chunk] if weights.ndim == 2 else weights
+        grids[chunk] = _vote_grids(field, pixels, theta[chunk], sides[chunk], chunk_weights, cfg)
     return kept, grids
 
 
-def _window_pixels(field, u, v, theta, largest, box):
+def _window_pixels(field, u, v, theta, largest, box, origin):
     """The valid pixels of each keypoint's largest window, in row-major order.
 
     Works over each keypoint's window box, padded at its right and bottom
     to the largest box of the chunk.  A padding pixel lies a pixel or more
     outside its keypoint's window, far beyond round-off, so the window
-    test drops it.  Returns the flat image index of every selected pixel,
-    keypoint after keypoint, its offsets ex and ey in the keypoint's
-    rotated frame, and the number of pixels per keypoint.
+    test drops it.  ``origin`` is the flat index of each keypoint's first
+    pixel, that of its layer.  Returns the flat field index of every
+    selected pixel, keypoint after keypoint, its offsets ex and ey in the
+    keypoint's rotated frame, and the number of pixels per keypoint.
     """
-    h, w = field.magnitude.shape
+    h, w = field.magnitude.shape[-2:]
     u0, u1, v0, v1 = box
     cols = u0[:, None] + np.arange((u1 - u0).max() + 1)
     rows = v0[:, None] + np.arange((v1 - v0).max() + 1)
-    pix = (np.minimum(rows, h - 1) * w)[:, :, None] + np.minimum(cols, w - 1)[:, None, :]
+    pix = (origin[:, None] + np.minimum(rows, h - 1) * w)[:, :, None] + np.minimum(cols, w - 1)[:, None, :]
     du = (cols - u[:, None])[:, None, :]
     dv = (rows - v[:, None])[:, :, None]
     c, s = np.array([(math.cos(-t), math.sin(-t)) for t in theta]).T[:, :, None, None]
@@ -435,7 +447,11 @@ def _window_pixels(field, u, v, theta, largest, box):
 
 
 def _vote_grids(field, pixels, theta, sides, weights, cfg):
-    """Raw grids of one chunk of keypoints from their selected pixels."""
+    """Raw grids of one chunk of keypoints from their selected pixels.
+
+    ``weights`` is one row of side weights for the chunk, or one row per
+    keypoint.
+    """
     pix, ex, ey, counts = pixels
     C = cfg.cells
     n = pix.size
@@ -446,7 +462,6 @@ def _vote_grids(field, pixels, theta, sides, weights, cfg):
 
     orientation = field.orientation.reshape(-1)
     mag = field.magnitude.reshape(-1)[pix]
-    rel = wrap_angle(orientation[pix] - per_pixel(theta))
     reach = np.maximum(np.abs(ex), np.abs(ey))
 
     # one row of pixel weights per cell, summed over the windows from 0.0
@@ -458,8 +473,10 @@ def _vote_grids(field, pixels, theta, sides, weights, cfg):
     halves = sides / 2.0
     sigma_k = cfg.kappa_fraction * cells
     variances = sigma_k * sigma_k
-    for j, weight in enumerate(weights):
+    for j in range(sides.shape[1]):
         half, cell, var = per_pixel(halves[:, j]), per_pixel(cells[:, j]), per_pixel(variances[:, j])
+        # a weight shared by the chunk multiplies as a scalar
+        weight = per_pixel(weights[:, j]) if weights.ndim == 2 else weights[j]
         cx = np.minimum(np.floor((ex + half) / cell), C - 1)
         cy = np.minimum(np.floor((ey + half) / cell), C - 1)
         dcx = ex - ((cx + 0.5) * cell - half)
@@ -485,7 +502,8 @@ def _vote_grids(field, pixels, theta, sides, weights, cfg):
             # alone at its orientation, a keypoint shares no evaluation
             (k,) = members
             own_votes = np.ascontiguousarray(votes[:, own[k]])
-            grids[k] = soft_vote(rel[own[k]], own_votes, kernel, cfg.bins).ravel()
+            rel = wrap_angle(orientation[pix[own[k]]] - t)
+            grids[k] = soft_vote(rel, own_votes, kernel, cfg.bins).ravel()
             continue
         group = np.concatenate([pix[own[k]] for k in members])
         union, column = np.unique(group, return_inverse=True)
@@ -513,14 +531,18 @@ def accumulate_grid(
     """
     kept, grids = accumulate_grids(field, [kp], [sides], weights, cfg)
     if not kept:
-        shape = field.magnitude.shape
-        bad = ", ".join(f"{side:.2f}" for side in sides if not window_inside(kp, side, shape))
-        h, w = shape
-        raise SupportError(
-            f"window sides out of bounds at ({kp.u:.1f}, {kp.v:.1f}) "
-            f"rotated by {kp.orientation:.3f} in the {w}x{h} image: {bad}"
-        )
+        raise _support_error(kp, sides, field.magnitude.shape)
     return grids[0]
+
+
+def _support_error(kp: Keypoint, sides: Sequence[float], shape: Tuple[int, int]) -> SupportError:
+    """The error for a keypoint that ``accumulate_grids`` drops from an image of ``shape``."""
+    bad = ", ".join(f"{side:.2f}" for side in sides if not window_inside(kp, side, shape))
+    h, w = shape
+    return SupportError(
+        f"window sides out of bounds at ({kp.u:.1f}, {kp.v:.1f}) "
+        f"rotated by {kp.orientation:.3f} in the {w}x{h} image: {bad}"
+    )
 
 
 def normalize_grids(raw: np.ndarray, cfg: DescriptorConfig) -> Tuple[np.ndarray, np.ndarray]:

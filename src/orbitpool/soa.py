@@ -17,16 +17,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, TextIO, Tuple
+from typing import Dict, List, Optional, TextIO, Tuple
 
 import numpy as np
 
-from .image import GRADIENT_MARGIN, ImageBuffer, SimilarityTransform, SupportError, compute_gradients, warp
+from .image import GRADIENT_MARGIN, ImageBuffer, SimilarityTransform, SupportError, gradient_field_of_array, warp_boxes
 from .descriptor import (
+    GRID_CHUNK,
     Descriptor,
     DescriptorConfig,
     Keypoint,
-    accumulate_grid,
+    _support_error,
+    accumulate_grids,
     normalize_grid,
     read_rows,
     window_box,
@@ -169,13 +171,38 @@ def _shifted(kp: Keypoint, box) -> Keypoint:
     return Keypoint(kp.u - box[0], kp.v - box[2], kp.base_size, kp.orientation)
 
 
-def _require_covered(mask: np.ndarray, kp: Keypoint, size: float, shape, box) -> None:
-    """Raise unless ``mask``, the ``box`` crop of a warp's mask, covers the window."""
+def _uncovered(mask: np.ndarray, kp: Keypoint, size: float, shape, box) -> Optional[SupportError]:
+    """The error for a window that ``mask``, the ``box`` crop of a warp's mask, does not cover."""
     u0, u1, v0, v1 = window_box(kp, size, shape)
-    if not mask[v0 - box[2] : v1 - box[2] + 1, u0 - box[0] : u1 - box[0] + 1].all():
-        raise SupportError(
-            f"warped support at ({kp.u:.1f}, {kp.v:.1f}) leaves the image domain"
-        )
+    if mask[v0 - box[2] : v1 - box[2] + 1, u0 - box[0] : u1 - box[0] + 1].all():
+        return None
+    return SupportError(f"warped support at ({kp.u:.1f}, {kp.v:.1f}) leaves the image domain")
+
+
+def _view_grids(img: ImageBuffer, views, size: float, cfg: DescriptorConfig):
+    """Raw grids of views whose boxes share one shape, in one warp, gradient pass and vote.
+
+    Each view is (inverse transform, moved keypoint, box, weight).
+    Returns the grids, one row per view, and each view's error or None:
+    an uncovered window, then a field too small for gradients, then a
+    window leaving the image, in the order a lone view meets them.
+    """
+    inverses, moved, boxes, weights = zip(*views)
+    shape = img.values.shape
+    warped, inside = warp_boxes(img, inverses, boxes)
+    errors = [_uncovered(mask, m, size, shape, box) for mask, m, box in zip(inside, moved, boxes)]
+    out = np.zeros((len(views), cfg.length))
+    try:
+        field = gradient_field_of_array(warped)
+    except ValueError as exc:
+        return out, [exc if e is None else e for e in errors]
+    shifted = [_shifted(m, box) for m, box in zip(moved, boxes)]
+    kept, grids = accumulate_grids(field, shifted, [[size]] * len(views), np.array(weights)[:, None], cfg)
+    out[kept] = grids
+    for k, kp in enumerate(shifted):
+        if errors[k] is None and k not in kept:
+            errors[k] = _support_error(kp, (size,), warped.shape[1:])
+    return out, errors
 
 
 def build_template(
@@ -190,8 +217,8 @@ def build_template(
     For each sample g_i and each perturbation g in its cloud, the image is
     warped by the composed transform g_i o g and a raw descriptor grid is
     accumulated at the mapped keypoint position with the window size and
-    reference orientation held fixed; the weighted grids are averaged and
-    normalized once, exactly as in size pooling.
+    reference orientation held fixed; the weighted grids are added in
+    cloud order and normalized once, exactly as in size pooling.
 
     Only the window's bounding box plus ``GRADIENT_MARGIN`` px (4 at
     ``PRE_SIGMA`` = 1) is warped and differentiated.  That is exact: a
@@ -201,23 +228,52 @@ def build_template(
     image border, the crop's reflected padding is the whole image's.  The
     crop starts at an integer pixel, so the keypoint shifted into it gives
     the same pixel offsets to the bit, and the descriptors are those of
-    the whole-image warp.  Support errors name the keypoint in
-    whole-image coordinates.
+    the whole-image warp.
+
+    The views are planned first, then grouped by box shape and taken
+    ``GRID_CHUNK`` at a time: one ``warp_boxes`` call, one gradient pass
+    over the chunk's stack and one ``accumulate_grids`` call in which
+    view k reads layer k.  Every layer, and every view's grid, is bit for
+    bit that of the view alone, and only one chunk's layers are alive at
+    a time.  If a view fails, the error raised is the first failing
+    view's, in sample and cloud order, as a view-by-view loop would raise
+    it; support errors name the keypoint in whole-image coordinates.
     """
     size = cfg.support_factor * kp.base_size
-    center = img.center
     shape = img.values.shape
-    descriptors = []
+    views, errors = [], []
     for g_i, cloud in zip(samples.samples, samples.anti_alias):
-        pooled = np.zeros(cfg.length)
         for g, weight in cloud:
-            composed = g_i.compose(g)
-            moved = _warped_keypoint(kp, composed, center)
-            box = _view_box(moved, size, shape)
-            warped, mask = warp(img, composed, box)
-            _require_covered(mask, moved, size, shape, box)
-            field = compute_gradients(warped)
-            pooled += accumulate_grid(field, _shifted(moved, box), (size,), (weight,), cfg)
+            try:
+                composed = g_i.compose(g)
+                moved = _warped_keypoint(kp, composed, img.center)
+                views.append((composed.inverse(), moved, _view_box(moved, size, shape), weight))
+                errors.append(None)
+            except ValueError as exc:
+                views.append(None)
+                errors.append(exc)
+    groups: Dict[Tuple[int, int], List[int]] = {}
+    for i, view in enumerate(views):
+        if view is not None:
+            u0, u1, v0, v1 = view[2]
+            groups.setdefault((v1 - v0, u1 - u0), []).append(i)
+    grids = np.zeros((len(views), cfg.length))
+    for members in groups.values():
+        for start in range(0, len(members), GRID_CHUNK):
+            chunk = members[start : start + GRID_CHUNK]
+            chunk_grids, chunk_errors = _view_grids(img, [views[i] for i in chunk], size, cfg)
+            grids[chunk] = chunk_grids
+            for i, error in zip(chunk, chunk_errors):
+                errors[i] = error
+    failed = next((e for e in errors if e is not None), None)
+    if failed is not None:
+        raise failed
+    rows = iter(grids)
+    descriptors = []
+    for cloud in samples.anti_alias:
+        pooled = np.zeros(cfg.length)
+        for _ in cloud:
+            pooled += next(rows)
         descriptors.append(normalize_grid(pooled, kp, cfg))
     return TemplateModel(source, tuple(descriptors), samples)
 

@@ -146,6 +146,24 @@ class TestPairIO:
         assert np.allclose(back.transformed.values, pair.transformed.values, atol=1 / 255 + 1e-12)
         assert type(back.contrast) is type(pair.contrast)
 
+    @pytest.mark.parametrize("contrast, occlusion", [("none", 0.0), ("gamma", 0.1), ("affine", 0.2)])
+    def test_saved_pair_saves_unchanged(self, tmp_path, contrast, occlusion):
+        # the first save quantizes to 8 bits; saving what it loads again
+        # must change nothing
+        spec = SynthSpec(scale_range=(0.7, 1.4), rotation_range=(-1.0, 1.0), contrast=contrast, occlusion=occlusion)
+        save_pair(make_pair(noise_base(13), spec, np.random.default_rng(6), name="rt2"), tmp_path / "a")
+        first = load_pair(tmp_path / "a")
+        save_pair(first, tmp_path / "b")
+        second = load_pair(tmp_path / "b")
+        for name in ("reference", "transformed"):
+            assert getattr(second, name).values.tobytes() == getattr(first, name).values.tobytes()
+        assert second.covisible_mask.tobytes() == first.covisible_mask.tobytes()
+        assert (second.name, second.ground_truth, second.contrast, second.occluder) == (
+            first.name, first.ground_truth, first.contrast, first.occluder
+        )
+        for file in ("reference.pgm", "transformed.pgm", "mask.pgm", "meta.json"):
+            assert (tmp_path / "b" / file).read_bytes() == (tmp_path / "a" / file).read_bytes()
+
     def test_missing_meta(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_pair(tmp_path)

@@ -537,6 +537,32 @@ class TestAccumulateGrids:
         npt.assert_array_equal(bits(rows), bits([d.values for _, d in described]).reshape(-1, cfg.length))
         assert degenerate.tolist() == [d.degenerate for _, d in described]
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), keypoint_sets(), st.data())
+    def test_layered_field_with_own_weights(self, seed, kps, data):
+        # keypoint k reads layer k of a (V, h, w) field and weighs its
+        # windows with its own row of weights
+        cfg = DescriptorConfig()
+        stack = np.random.default_rng(seed).uniform(size=(len(kps), SIDE, SIDE))
+        sides = [[0.8 * cfg.support_factor * kp.base_size, cfg.support_factor * kp.base_size] for kp in kps]
+        weight = st.floats(0.01, 4.0)
+        weights = data.draw(st.lists(st.tuples(weight, weight), min_size=len(kps), max_size=len(kps)))
+        kept, raw = accumulate_grids(gradient_field_of_array(stack), kps, sides, np.reshape(weights, (-1, 2)), cfg)
+        want = [
+            reference_grid(gradient_field_of_array(stack[k]), kp, sides[k], weights[k], cfg) for k, kp in enumerate(kps)
+        ]
+        assert kept == [k for k, grid in enumerate(want) if grid is not None]
+        npt.assert_array_equal(bits(raw), bits([want[k] for k in kept]).reshape(-1, cfg.length))
+
+    def test_layers_and_weight_rows_must_match_keypoints(self):
+        cfg = DescriptorConfig()
+        field = gradient_field_of_array(np.random.default_rng(1).uniform(size=(3, SIDE, SIDE)))
+        kps = [Keypoint(16.0, 16.0, 2.0)] * 2
+        with pytest.raises(ValueError, match="3 field layers for 2 keypoints"):
+            accumulate_grids(field, kps, [[6.0]] * 2, (1.0,), cfg)
+        with pytest.raises(ValueError, match="3 rows of weights for 2 keypoints"):
+            accumulate_grids(half_flat_field(0), kps, [[6.0]] * 2, [[1.0]] * 3, cfg)
+
     def test_no_keypoints(self):
         f = half_flat_field(0)
         kept, raw = accumulate_grids(f, [], np.zeros((0, 2)), (0.5, 0.5), DescriptorConfig())

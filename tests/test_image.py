@@ -24,6 +24,7 @@ from orbitpool.image import (
     load_image,
     save_pgm,
     warp,
+    warp_boxes,
 )
 from orbitpool import textures
 
@@ -182,6 +183,32 @@ class TestComputeGradients:
         dtheta = np.angle(np.exp(1j * (f1.orientation[both] - f0.orientation[both])))
         npt.assert_allclose(dtheta, 0.0, atol=1e-9)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5), st.integers(3, 30), st.integers(3, 30), st.integers(0, 2**32 - 1))
+    def test_stack_layers_match_single_layers(self, layers, h, w, seed):
+        # layers of a (V, h, w) stack are differentiated alone, bit for bit;
+        # raw values may leave [0, 1], as an affine contrast's do
+        stack = np.random.default_rng(seed).uniform(-0.5, 1.5, size=(layers, h, w))
+        field = gradient_field_of_array(stack)
+        for k in range(layers):
+            alone = gradient_field_of_array(stack[k])
+            for name in ("magnitude", "orientation", "valid"):
+                assert getattr(field, name)[k].tobytes() == getattr(alone, name).tobytes()
+
+    @pytest.mark.parametrize("shape", [(3, 3), (3, 11), (11, 3), (4, 9)])
+    def test_stack_of_small_layers(self, shape):
+        stack = np.stack([textures.filtered_noise(shape[1], shape[0], seed=s).values for s in range(4)])
+        field = gradient_field_of_array(stack)
+        assert field.magnitude.shape == stack.shape
+        for k, layer in enumerate(stack):
+            alone = gradient_field_of_array(layer)
+            for name in ("magnitude", "orientation", "valid"):
+                assert getattr(field, name)[k].tobytes() == getattr(alone, name).tobytes()
+
+    def test_stack_too_small_names_layer_size(self):
+        with pytest.raises(ValueError, match="image too small for gradients: 5x2"):
+            gradient_field_of_array(np.zeros((3, 2, 5)))
+
 
 # ---------------------------------------------------------------------------
 # warps
@@ -313,6 +340,31 @@ class TestWindowedWarp:
         out, mask = warp(img, SimilarityTransform(rotation=turns * math.pi / 2.0))
         assert mask.all()
         npt.assert_array_equal(out.values, np.rot90(img.values, -turns))
+
+
+class TestWarpBoxes:
+    @settings(max_examples=60, deadline=None)
+    @given(images_and_boxes(), st.lists(st.tuples(similarities(), st.integers(0, 39), st.integers(0, 39)), min_size=1, max_size=4))
+    def test_layers_are_single_view_warps(self, case, views):
+        # every view warps its own transform over its own box, all boxes
+        # of one shape
+        img, (u0, u1, v0, v1) = case
+        h, w = img.values.shape
+        boxes = []
+        for _, du, dv in views:
+            du, dv = du % (w - u1 + u0), dv % (h - v1 + v0)
+            boxes.append((du, du + u1 - u0, dv, dv + v1 - v0))
+        values, masks = warp_boxes(img, [g.inverse() for g, _, _ in views], boxes)
+        for k, ((g, _, _), box) in enumerate(zip(views, boxes)):
+            alone, mask = warp(img, g, box)
+            assert values[k].tobytes() == alone.values.tobytes()
+            assert masks[k].tobytes() == mask.tobytes()
+
+    def test_boxes_of_different_shapes_rejected(self):
+        img = textures.filtered_noise(8, 5, seed=1)
+        g = SimilarityTransform.identity()
+        with pytest.raises(ValueError, match="one shape"):
+            warp_boxes(img, [g, g], [(0, 3, 0, 3), (0, 4, 0, 3)])
 
 
 class TestSimilarityTransform:

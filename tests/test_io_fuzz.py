@@ -75,6 +75,21 @@ def test_mutated_pgm_raises_only_documented_errors(pgm_path, seed, edits, cut):
     assert isinstance(img, ImageBuffer)
 
 
+@pytest.mark.parametrize(
+    "data",
+    [b"P5 3 2 7\n" + RASTER, b"P5\n2 1\n1\n\x01\x02", b"P5\n1 1\n254\n\xff"],
+)
+def test_pixel_above_maxval_raises(pgm_path, data):
+    pgm_path.write_bytes(data)
+    with pytest.raises(ImageDataError, match="above maxval"):
+        load_image(pgm_path)
+
+
+def test_pixel_at_maxval_loads_as_one(pgm_path):
+    pgm_path.write_bytes(b"P5\n3 1\n7\n\x00\x03\x07")
+    assert load_image(pgm_path).values.tolist() == [[0.0, 3 / 7, 1.0]]
+
+
 def template_text():
     kps = (Keypoint(31.5, 31.5, 6.6), Keypoint(-0.0, 2.5, 1e-3, 6.2))
     descriptors = tuple(Descriptor(np.full(4, 0.25), 1, 4, kp) for kp in kps)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitpool import textures
+from orbitpool import soa, textures
 from orbitpool.descriptor import (
     Descriptor,
     DescriptorConfig,
@@ -255,6 +255,75 @@ class TestWindowedTemplate:
         with pytest.raises(SupportError) as exc:
             build_template(img, kp, samples)
         assert str(exc.value) == message
+
+    def assert_matches_oracle(self, img, kp, samples, cfg=DescriptorConfig()):
+        got = build_template(img, kp, samples, cfg)
+        want = whole_image_template(img, kp, samples, cfg)
+        assert len(got.descriptors) == len(want)
+        for d, values in zip(got.descriptors, want):
+            npt.assert_array_equal(d.values, values)
+
+    def test_unequal_cloud_weights(self):
+        img = textures.filtered_noise(64, 64, seed=12)
+        cloud = tuple(
+            (SimilarityTransform(scale=math.exp(0.05 * k), rotation=0.04 * (k - 2), translation=(0.3 * k, -0.2)), w)
+            for k, w in enumerate((0.5, 3.0, 1.0, 0.125, 2.0))
+        )
+        samples = GroupSampleSet(
+            (SimilarityTransform.identity(), SimilarityTransform(scale=1.2, rotation=2.0)), (cloud, cloud[::-1])
+        )
+        assert len({w for _, w in samples.anti_alias[0]}) == 5
+        self.assert_matches_oracle(img, Keypoint(31.0, 29.5, 4.0, 0.4), samples)
+
+    def test_views_of_different_box_shapes(self):
+        # the views' boxes differ in shape, and one is clipped at the
+        # left border, so they fall into several chunks of one template
+        img = textures.filtered_noise(64, 64, seed=13)
+        kp = Keypoint(20.0, 30.0, 3.0)
+        cfg = DescriptorConfig()
+        size = cfg.support_factor * kp.base_size
+        translations = [(0.0, 0.0), (0.5, 0.25), (-12.0, 0.0), (10.25, -3.5), (0.0, 12.75)]
+        samples = GroupSampleSet(
+            tuple(SimilarityTransform(translation=t) for t in translations), (perturbation_grid(),) * len(translations)
+        )
+        boxes = []
+        for g_i, cloud in zip(samples.samples, samples.anti_alias):
+            for g, _ in cloud:
+                moved = soa._warped_keypoint(kp, g_i.compose(g), img.center)
+                boxes.append(soa._view_box(moved, size, img.values.shape))
+        assert len({(v1 - v0, u1 - u0) for u0, u1, v0, v1 in boxes}) > 2
+        assert any(box[0] == 0 for box in boxes)
+        self.assert_matches_oracle(img, kp, samples, cfg)
+
+    @pytest.mark.parametrize("order", [(0, 1, 2), (0, 2, 1)])
+    def test_first_failing_view_raises(self, order):
+        # views 1 and 2 fail with different errors, and the one earlier in
+        # sample order is raised.  View 2 moves the keypoint where view 0
+        # does, so its box shape is processed first, before view 1's whole
+        # image box.
+        img = textures.filtered_noise(64, 64, seed=3)
+        kp = Keypoint(31.5, 31.5, 12.0)
+        views = [
+            SimilarityTransform(translation=(10.0, 5.0)),
+            SimilarityTransform(translation=(-27.0, 0.0)),
+            SimilarityTransform(scale=0.5, translation=(10.0, 5.0)),
+        ]
+        messages = [
+            None,
+            "window sides out of bounds at (4.5, 31.5) rotated by 0.000 in the 64x64 image: 36.00",
+            "warped support at (41.5, 36.5) leaves the image domain",
+        ]
+        samples = GroupSampleSet(tuple(views[i] for i in order), (delta_perturbation(),) * 3)
+        with pytest.raises(SupportError) as want:
+            whole_image_template(img, kp, samples, DescriptorConfig())
+        with pytest.raises(SupportError) as got:
+            build_template(img, kp, samples)
+        assert str(got.value) == str(want.value) == messages[order[1]]
+
+    @pytest.mark.parametrize("anti_alias", ["grid", "delta"])
+    def test_orbit_template_configuration(self, anti_alias):
+        img = textures.filtered_noise(96, 96, seed=[1, 0], smooth=1.8)
+        self.assert_matches_oracle(img, Keypoint(47.5, 47.5, 8.0), GroupSampleSet.default(anti_alias=anti_alias))
 
     def test_too_small_image_names_whole_image(self):
         img = textures.filtered_noise(40, 2, seed=3)
