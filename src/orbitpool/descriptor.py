@@ -506,7 +506,11 @@ def _vote_grids(field, pixels, theta, sides, weights, cfg):
             grids[k] = soft_vote(rel, own_votes, kernel, cfg.bins).ravel()
             continue
         group = np.concatenate([pix[own[k]] for k in members])
-        union, column = np.unique(group, return_inverse=True)
+        if field.magnitude.ndim == 3:
+            # keypoints on different layers share no pixel
+            union, column = group, np.arange(group.size)
+        else:
+            union, column = np.unique(group, return_inverse=True)
         shared = vote_kernel(wrap_angle(orientation[union] - t), kernel, cfg.bins)
         start = 0
         for k in members:

@@ -315,41 +315,25 @@ def _bilinear_sample(values, su, sv):
     return top * (1.0 - fv) + bot * fv
 
 
-def warp(img, transform, box=None):
+def warp(img, transform):
     """Warp an image by a similarity transform about its center.
 
     Inverse-mapped bilinear interpolation; returns ``(warped, mask)`` where
     ``mask`` is False outside the source domain (those pixels are set to 0).
-    With ``box=(u0, u1, v0, v1)`` only that inclusive pixel box of the
-    output is resampled: the result is the ``[v0:v1+1, u0:u1+1]`` crop of
-    the whole warp and of its mask, bit for bit.  ``warp_boxes`` warps
-    several views at once.
+    This is the one-view, whole-image case of ``warp_boxes``.
     """
-    # This one-view body is kept beside warp_boxes on purpose: routed
-    # through it, each whole-image warp frees its temporaries in another
-    # order, and the glibc heap it leaves then trims and regrows around
-    # the large temporaries of later work (102,000 minor faults per
-    # scale-scatter benchmark pair instead of 7; items about 20% slower).
-    values = img.values
-    h, w = values.shape
-    u0, u1, v0, v1 = (0, w - 1, 0, h - 1) if box is None else box
-    if not (0 <= u0 <= u1 < w and 0 <= v0 <= v1 < h):
-        raise ValueError(f"box {box} is not inside the {w}x{h} image")
-    cu, cv = img.center
-    inv = transform.inverse()
-    # the matrix product's rounding depends on a point's place in its row,
-    # so whole rows are mapped and then cut to the box's columns
-    uu, vv = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(v0, v1 + 1, dtype=np.float64))
-    pts = np.stack([uu - cu, vv - cv], axis=-1)
-    src = inv.apply(pts)[:, u0 : u1 + 1]
-    su = src[..., 0] + cu
-    sv = src[..., 1] + cv
-    inside = (su >= -_SNAP_EPS) & (su <= w - 1 + _SNAP_EPS) & (sv >= -_SNAP_EPS) & (sv <= h - 1 + _SNAP_EPS)
-    su_c = np.clip(su, 0.0, w - 1.0)
-    sv_c = np.clip(sv, 0.0, h - 1.0)
-    out = _bilinear_sample(values, su_c, sv_c)
-    out[~inside] = 0.0
-    return ImageBuffer.from_array(out, clip=True), inside
+    h, w = img.values.shape
+    values, masks = warp_boxes(img, [transform.inverse()], [(0, w - 1, 0, h - 1)])
+    # The layer is fresh, finite and in [0, 1], so it is wrapped without
+    # the copy ImageBuffer makes.  That copy, made once warp_boxes has freed
+    # its temporaries, would also put the long-lived image low in the heap,
+    # where the free space above it is trimmed and regrown around every
+    # later large temporary (about 100,000 page faults per scale-scatter
+    # benchmark pair instead of 7).
+    values.setflags(write=False)
+    warped = object.__new__(ImageBuffer)
+    object.__setattr__(warped, "values", values[0])
+    return warped, masks[0]
 
 
 def warp_boxes(img, inverses, boxes):
@@ -359,9 +343,10 @@ def warp_boxes(img, inverses, boxes):
     the output, mapping each output pixel to the source through
     ``inverses[k]``, the inverse of the view's transform.  All boxes have
     one shape (bh, bw).  Returns the ``(V, bh, bw)`` stacks of warped
-    values, clipped into [0, 1], and of masks; layer k is the crop of
-    ``warp`` by that view's transform, bit for bit, since every pixel goes
-    through the same arithmetic.
+    values, clipped into [0, 1], and of masks (False where the source
+    point falls outside the image; those values are 0).  Layer k is the
+    ``[v0:v1+1, u0:u1+1]`` crop of the whole-image ``warp`` by that view's
+    transform, bit for bit.
     """
     values = img.values
     h, w = values.shape
@@ -381,14 +366,15 @@ def warp_boxes(img, inverses, boxes):
     grid = np.stack([uu - cu, vv - cv], axis=-1)
     su, sv = np.empty((2, len(boxes), *sizes.pop()))
     for k, inv in enumerate(inverses):
-        # as in warp, whole rows are mapped and then cut to the box's columns
+        # the matrix product's rounding depends on a point's place in its
+        # row, so whole rows are mapped and then cut to the box's columns
         src = inv.apply(grid[v0[k] - top : v1[k] - top + 1])[:, u0[k] : u1[k] + 1]
-        su[k] = src[..., 0] + cu
-        sv[k] = src[..., 1] + cv
+        np.add(src[..., 0], cu, out=su[k])
+        np.add(src[..., 1], cv, out=sv[k])
     inside = (su >= -_SNAP_EPS) & (su <= w - 1 + _SNAP_EPS) & (sv >= -_SNAP_EPS) & (sv <= h - 1 + _SNAP_EPS)
     out = _bilinear_sample(values, np.clip(su, 0.0, w - 1.0), np.clip(sv, 0.0, h - 1.0))
     out[~inside] = 0.0
-    return np.clip(out, 0.0, 1.0), inside
+    return np.clip(out, 0.0, 1.0, out=out), inside
 
 
 def extract_patch(img, center, side, out_side):

@@ -323,15 +323,20 @@ class TestWindowedWarp:
     def test_box_is_crop_of_whole_warp(self, case, g):
         img, (u0, u1, v0, v1) = case
         whole, whole_mask = warp(img, g)
-        crop, mask = warp(img, g, (u0, u1, v0, v1))
-        npt.assert_array_equal(crop.values, whole.values[v0 : v1 + 1, u0 : u1 + 1])
-        npt.assert_array_equal(mask, whole_mask[v0 : v1 + 1, u0 : u1 + 1])
+        crop, mask = warp_boxes(img, [g.inverse()], [(u0, u1, v0, v1)])
+        assert crop[0].tobytes() == whole.values[v0 : v1 + 1, u0 : u1 + 1].tobytes()
+        assert mask[0].tobytes() == whole_mask[v0 : v1 + 1, u0 : u1 + 1].tobytes()
 
     @pytest.mark.parametrize("box", [(0, 8, 0, 3), (0, 3, -1, 3), (3, 2, 0, 3), (0, 0, 4, 3)])
     def test_box_outside_image_rejected(self, box):
         img = textures.filtered_noise(8, 5, seed=1)
         with pytest.raises(ValueError, match="box"):
-            warp(img, SimilarityTransform.identity(), box)
+            warp_boxes(img, [SimilarityTransform.identity()], [box])
+
+    def test_warped_image_is_read_only(self):
+        out, _ = warp(textures.filtered_noise(8, 5, seed=1), SimilarityTransform(rotation=0.3))
+        with pytest.raises(ValueError):
+            out.values[0, 0] = 0.5
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 33), st.integers(0, 2**32 - 1), st.integers(-8, 8))
@@ -355,10 +360,10 @@ class TestWarpBoxes:
             du, dv = du % (w - u1 + u0), dv % (h - v1 + v0)
             boxes.append((du, du + u1 - u0, dv, dv + v1 - v0))
         values, masks = warp_boxes(img, [g.inverse() for g, _, _ in views], boxes)
-        for k, ((g, _, _), box) in enumerate(zip(views, boxes)):
-            alone, mask = warp(img, g, box)
-            assert values[k].tobytes() == alone.values.tobytes()
-            assert masks[k].tobytes() == mask.tobytes()
+        for k, ((g, _, _), (a0, a1, b0, b1)) in enumerate(zip(views, boxes)):
+            whole, whole_mask = warp(img, g)
+            assert values[k].tobytes() == whole.values[b0 : b1 + 1, a0 : a1 + 1].tobytes()
+            assert masks[k].tobytes() == whole_mask[b0 : b1 + 1, a0 : a1 + 1].tobytes()
 
     def test_boxes_of_different_shapes_rejected(self):
         img = textures.filtered_noise(8, 5, seed=1)
