@@ -33,14 +33,21 @@ from .image import (
     GammaContrast,
     ImageBuffer,
     SimilarityTransform,
-    SupportError,
     apply_contrast,
     compute_gradients,
+    extract_patch,
     load_image,
+    patch_inside,
     save_pgm,
     warp,
 )
-from .scattering import FilterBank, build_filter_bank, dsp_scatter
+from .scattering import (
+    SAMPLE_SIDE,
+    FilterBank,
+    build_filter_bank,
+    pool_vectors,
+    scatter,
+)
 from .textures import benchmark_bases
 
 KINDS = ("sift", "dsp-sift", "sc", "dsp-sc")
@@ -311,6 +318,85 @@ class PairMatches:
     warning: bool = False
 
 
+Description = Tuple[List[int], np.ndarray, np.ndarray]
+
+
+def describe_kinds(
+    img: ImageBuffer,
+    keypoints: Sequence[Keypoint],
+    kinds: Sequence[str],
+    prior: SizePrior,
+    cfg: DescriptorConfig,
+    bank: FilterBank,
+) -> Dict[str, Description]:
+    """The vectors matching compares, for each of ``kinds``, from one pass over the image.
+
+    Maps each kind to the indices of its kept keypoints (those whose
+    windows all fit), their descriptor matrix and per-row degenerate
+    flags.  Windows have side multiplier * base_size *
+    ``cfg.support_factor``: ``sift`` and ``sc`` under the delta prior,
+    ``dsp-sift`` and ``dsp-sc`` under ``prior``.  The histogram kinds
+    share one gradient field and take one ``accumulate_grids`` pass
+    each.  The scattering kinds share one ``scatter`` per keypoint and
+    window side, pooled by ``pool_vectors`` as in ``dsp_scatter``, so
+    ``sc``, whose side is bit for bit ``dsp-sc``'s at multiplier 1.0,
+    scatters nothing of its own under a prior holding 1.0; sides are
+    checked with ``patch_inside`` before any is resampled.  Rows are
+    bit-identical to describing each kind alone.  A histogram is
+    degenerate when its window has no gradient mass, a scattering row
+    when the norm of its wavelet coefficients is at most
+    ``SCATTER_FLAT_TOL`` times its order-0 mean; such a row is all zeros.
+    """
+    for kind in kinds:
+        if kind not in KINDS:
+            raise ValueError(f"unknown descriptor kind {kind!r}, expected one of {KINDS}")
+    priors = {kind: SizePrior.delta() if kind in ("sift", "sc") else prior for kind in kinds}
+    out = {}
+    histogram = [kind for kind in priors if kind in ("sift", "dsp-sift")]
+    if histogram:
+        field = compute_gradients(img)
+    for kind in histogram:
+        sides = priors[kind].sides([kp.base_size for kp in keypoints], cfg.support_factor)
+        kept, raw = accumulate_grids(field, keypoints, sides, priors[kind].weights, cfg)
+        rows, degenerate = normalize_grids(raw, cfg)
+        out[kind] = kept, (rows if kept else np.zeros((0, 1))), degenerate
+    scattering = {kind: p for kind, p in priors.items() if kind in ("sc", "dsp-sc")}
+    if scattering:
+        out.update(_scattering_rows(img, keypoints, scattering, cfg, bank))
+    return {kind: out[kind] for kind in priors}
+
+
+def _scattering_rows(img, keypoints, priors, cfg, bank) -> Dict[str, Description]:
+    """The rows of each scattering kind, each under its own prior in ``priors``."""
+    found = {kind: ([], [], []) for kind in priors}
+    for i, kp in enumerate(keypoints):
+        center = (kp.u, kp.v)
+        vectors = {}  # by window side
+        for kind, prior in priors.items():
+            (sides,) = prior.sides([kp.base_size], cfg.support_factor)
+            if not all(patch_inside(center, side, SAMPLE_SIDE, img.values.shape) for side in sides):
+                continue
+            for side in sides:
+                if side not in vectors:
+                    vectors[side] = scatter(extract_patch(img, center, side, SAMPLE_SIDE), bank)
+            vec = pool_vectors(prior.weights, [vectors[side] for side in sides])
+            # order 0 is the local mean: brightness, not structure.  It
+            # dominates the raw norm, so drop it and l2-normalize the
+            # wavelet orders before euclidean matching, unless all they
+            # hold is round-off.
+            flat = vec.flatten()[1:]
+            norm = np.linalg.norm(flat)
+            degenerate = norm <= SCATTER_FLAT_TOL * abs(vec.order0)
+            kept, rows, flags = found[kind]
+            kept.append(i)
+            rows.append(np.zeros_like(flat) if degenerate else flat / norm)
+            flags.append(degenerate)
+    return {
+        kind: (kept, np.stack(rows) if rows else np.zeros((0, 1)), np.array(flags, dtype=bool))
+        for kind, (kept, rows, flags) in found.items()
+    }
+
+
 def describe(
     img: ImageBuffer,
     keypoints: Sequence[Keypoint],
@@ -318,109 +404,80 @@ def describe(
     prior: SizePrior,
     cfg: DescriptorConfig,
     bank: FilterBank,
-) -> Tuple[List[int], np.ndarray, np.ndarray]:
-    """The vectors matching compares, one row per supported keypoint.
-
-    Returns the indices of the kept keypoints, their descriptor matrix,
-    and a per-row degenerate flag.  Keypoints whose window leaves the
-    image are dropped.  Histogram kinds take one ``accumulate_grids``
-    pass over all keypoints and scattering kinds one ``dsp_scatter`` call
-    per keypoint, both at window side multiplier * base_size *
-    ``cfg.support_factor``: ``sift`` and ``sc`` under the delta prior,
-    ``dsp-sift`` and ``dsp-sc`` under ``prior``.  A histogram is
-    degenerate when its window has no gradient mass, a scattering row
-    when the norm of its wavelet coefficients is at most
-    ``SCATTER_FLAT_TOL`` times its order-0 mean; such a row is all zeros.
-    """
-    if kind not in KINDS:
-        raise ValueError(f"unknown descriptor kind {kind!r}, expected one of {KINDS}")
-    if kind in ("sift", "sc"):
-        prior = SizePrior.delta()
-    if kind in ("sift", "dsp-sift"):
-        sides = prior.sides([kp.base_size for kp in keypoints], cfg.support_factor)
-        kept, raw = accumulate_grids(compute_gradients(img), keypoints, sides, prior.weights, cfg)
-        rows, degenerate = normalize_grids(raw, cfg)
-        return kept, (rows if kept else np.zeros((0, 1))), degenerate
-    kept, rows, degenerate = [], [], []
-    for i, kp in enumerate(keypoints):
-        try:
-            vec = dsp_scatter(img, kp, prior, bank, cfg.support_factor)
-        except SupportError:
-            continue
-        # order 0 is the local mean: brightness, not structure.  It
-        # dominates the raw norm, so drop it and l2-normalize the
-        # wavelet orders before euclidean matching, unless all they
-        # hold is round-off.
-        flat = vec.flatten()[1:]
-        norm = np.linalg.norm(flat)
-        if norm <= SCATTER_FLAT_TOL * abs(vec.order0):
-            row, flag = np.zeros_like(flat), True
-        else:
-            row, flag = flat / norm, False
-        kept.append(i)
-        rows.append(row)
-        degenerate.append(flag)
-    matrix = np.stack(rows) if rows else np.zeros((0, 1))
-    return kept, matrix, np.array(degenerate, dtype=bool)
+) -> Description:
+    """The (kept indices, rows, degenerate flags) of one kind: the one-kind case of ``describe_kinds``."""
+    return describe_kinds(img, keypoints, (kind,), prior, cfg, bank)[kind]
 
 
-def match_pair(pair: SyntheticPair, kind: str, mcfg: MatchConfig = MatchConfig()) -> PairMatches:
-    """Nearest-neighbor matching with a Lowe ratio test.
+def match_kinds(
+    pair: SyntheticPair, kinds: Sequence[str], mcfg: MatchConfig = MatchConfig()
+) -> Dict[str, PairMatches]:
+    """Nearest-neighbor matching with a Lowe ratio test, for each of ``kinds``.
 
-    A match is correct iff the matched keypoint lies within ``radius``
-    pixels of the ground-truth projection and both endpoints are
-    co-visible per the pair's mask.
+    The lattice and its projections are built once, and each image is
+    described once for all kinds by ``describe_kinds``.  A match is
+    correct iff the matched keypoint lies within ``radius`` pixels of the
+    ground-truth projection and both endpoints are co-visible per the
+    pair's mask.
     """
     ref_kps = grid_keypoints(pair.reference, mcfg.stride, mcfg.base_size)
-    center = pair.reference.center
     projections = [pair.project((kp.u, kp.v)) for kp in ref_kps]
     pool_kps = [Keypoint(float(p[0]), float(p[1]), mcfg.base_size) for p in projections]
 
-    args = (kind, mcfg.prior, mcfg.descriptor, mcfg.scattering_bank())
-    ref_idx, ref_vecs, _ = describe(pair.reference, ref_kps, *args)
-    pool_idx, pool_vecs, _ = describe(pair.transformed, pool_kps, *args)
-
-    pool_set = set(pool_idx)
-    candidates = sum(
-        1 for i in ref_idx if i in pool_set and pair.covisible(projections[i])
-    )
-    if not ref_idx or not pool_idx:
-        return PairMatches(pair.name, kind, (), candidates, warning=True)
-
-    dists = cdist(ref_vecs, pool_vecs)
-    records = []
-    for row, i in enumerate(ref_idx):
-        order = np.argsort(dists[row], kind="stable")
-        j = int(order[0])
-        d1 = float(dists[row, j])
-        if len(order) < 2:
-            ratio = 0.0
-        else:
-            d2 = float(dists[row, int(order[1])])
-            ratio = d1 / d2 if d2 > 0.0 else 1.0
-        if ratio > mcfg.ratio:
-            continue
-        matched = pool_idx[j]
-        mkp = pool_kps[matched]
-        proj = projections[i]
-        cov_ref = pair.covisible(proj)
-        cov_matched = pair.covisible((mkp.u, mkp.v))
-        hit = math.hypot(proj[0] - mkp.u, proj[1] - mkp.v) <= mcfg.radius
-        records.append(
-            MatchRecord(
-                ref_index=i,
-                ref_kp=ref_kps[i],
-                projected=(float(proj[0]), float(proj[1])),
-                matched_index=matched,
-                matched_kp=mkp,
-                distance=d1,
-                ratio=ratio,
-                covisible_ref=cov_ref,
-                covisible_matched=cov_matched,
-                correct=bool(hit and cov_ref and cov_matched),
-            )
+    args = (kinds, mcfg.prior, mcfg.descriptor, mcfg.scattering_bank())
+    refs = describe_kinds(pair.reference, ref_kps, *args)
+    pools = describe_kinds(pair.transformed, pool_kps, *args)
+    out = {}
+    for kind in refs:
+        (ref_idx, ref_vecs, _), (pool_idx, pool_vecs, _) = refs[kind], pools[kind]
+        pool_set = set(pool_idx)
+        candidates = sum(
+            1 for i in ref_idx if i in pool_set and pair.covisible(projections[i])
         )
-    return PairMatches(pair.name, kind, tuple(records), candidates)
+        if not ref_idx or not pool_idx:
+            out[kind] = PairMatches(pair.name, kind, (), candidates, warning=True)
+            continue
+
+        dists = cdist(ref_vecs, pool_vecs)
+        records = []
+        for row, i in enumerate(ref_idx):
+            order = np.argsort(dists[row], kind="stable")
+            j = int(order[0])
+            d1 = float(dists[row, j])
+            if len(order) < 2:
+                ratio = 0.0
+            else:
+                d2 = float(dists[row, int(order[1])])
+                ratio = d1 / d2 if d2 > 0.0 else 1.0
+            if ratio > mcfg.ratio:
+                continue
+            matched = pool_idx[j]
+            mkp = pool_kps[matched]
+            proj = projections[i]
+            cov_ref = pair.covisible(proj)
+            cov_matched = pair.covisible((mkp.u, mkp.v))
+            hit = math.hypot(proj[0] - mkp.u, proj[1] - mkp.v) <= mcfg.radius
+            records.append(
+                MatchRecord(
+                    ref_index=i,
+                    ref_kp=ref_kps[i],
+                    projected=(float(proj[0]), float(proj[1])),
+                    matched_index=matched,
+                    matched_kp=mkp,
+                    distance=d1,
+                    ratio=ratio,
+                    covisible_ref=cov_ref,
+                    covisible_matched=cov_matched,
+                    correct=bool(hit and cov_ref and cov_matched),
+                )
+            )
+        out[kind] = PairMatches(pair.name, kind, tuple(records), candidates)
+    return out
+
+
+def match_pair(pair: SyntheticPair, kind: str, mcfg: MatchConfig = MatchConfig()) -> PairMatches:
+    """The matches of one kind: the one-kind case of ``match_kinds``."""
+    return match_kinds(pair, (kind,), mcfg)[kind]
 
 
 # ---------------------------------------------------------------------------
@@ -501,24 +558,24 @@ def evaluate(
 ) -> EvalReport:
     """Match every (pair, kind) and sweep the ratio ``THRESHOLDS``.
 
-    Tasks run one after another in sorted (pair, kind) order, which is
-    also the order of the report's rows.
+    Each pair is matched once for all kinds by ``match_kinds``, so each
+    of its images is described once.  The report's rows follow the
+    stable sorted (pair name, kind) order of the tasks; pairs that share
+    a name stay apart, as distinct objects.
     """
     if not pairs:
         raise ValueError("need at least one pair")
     if not kinds:
         raise ValueError("need at least one descriptor kind")
-    for k in kinds:
-        if k not in KINDS:
-            raise ValueError(f"unknown descriptor kind {k!r}, expected one of {KINDS}")
     if mcfg is None:
         mcfg = MatchConfig(ratio=max(THRESHOLDS))
     start = time.perf_counter()
 
+    by_pair = {id(p): match_kinds(p, kinds, mcfg) for p in pairs}
     tasks = sorted(
         ((p, k) for p in pairs for k in kinds), key=lambda t: (t[0].name, t[1])
     )
-    matched = [match_pair(p, k, mcfg) for p, k in tasks]
+    matched = [by_pair[id(p)][k] for p, k in tasks]
 
     records: List[EvalRecord] = []
     flagged = []

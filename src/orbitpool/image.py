@@ -377,52 +377,47 @@ def warp_boxes(img, inverses, boxes):
     return np.clip(out, 0.0, 1.0, out=out), inside
 
 
+def patch_inside(center, side, out_side, shape):
+    """Whether ``extract_patch`` can resample the window of side ``side`` at ``center``.
+
+    The outermost samples of its ``out_side`` x ``out_side`` grid sit at
+    ``center -+ ((out_side - 1) / 2) * (side / out_side)``, the same
+    float operations as the grid's own ends, so this decides exactly as
+    resampling would.  They may lie up to ``_SNAP_EPS`` outside an image
+    of ``shape`` (height, width); a non-finite bound counts as leaving it.
+    """
+    h, w = shape
+    cu, cv = center
+    reach = ((out_side - 1) / 2.0) * (side / out_side)
+    return (
+        cu - reach >= -_SNAP_EPS
+        and cu + reach <= w - 1 + _SNAP_EPS
+        and cv - reach >= -_SNAP_EPS
+        and cv + reach <= h - 1 + _SNAP_EPS
+    )
+
+
 def extract_patch(img, center, side, out_side):
     """Resample a square window of physical side ``side`` to ``out_side`` px.
 
     Output sample ``a`` lies at ``center + (a - (out_side-1)/2) * side/out_side``,
     so ``side == out_side`` at an integer-centered window is an exact crop.
-    Raises ``SupportError`` when the window leaves the image.
+    Raises ``SupportError`` when ``patch_inside`` finds that the window
+    leaves the image.
     """
     if side <= 0:
         raise ValueError(f"patch side must be positive, got {side}")
     values = img.values
     h, w = values.shape
     cu, cv = center
-    step = side / out_side
-    offs = (np.arange(out_side, dtype=np.float64) - (out_side - 1) / 2.0) * step
-    su = cu + offs[None, :]
-    sv = cv + offs[:, None]
-    if su.min() < -_SNAP_EPS or su.max() > w - 1 + _SNAP_EPS or sv.min() < -_SNAP_EPS or sv.max() > h - 1 + _SNAP_EPS:
+    if not patch_inside(center, side, out_side, (h, w)):
         raise SupportError(
             f"patch of side {side} at ({cu}, {cv}) leaves the {w}x{h} image"
         )
-    su = np.broadcast_to(np.clip(su, 0.0, w - 1.0), (out_side, out_side))
-    sv = np.broadcast_to(np.clip(sv, 0.0, h - 1.0), (out_side, out_side))
+    offs = (np.arange(out_side, dtype=np.float64) - (out_side - 1) / 2.0) * (side / out_side)
+    su = np.broadcast_to(np.clip(cu + offs[None, :], 0.0, w - 1.0), (out_side, out_side))
+    sv = np.broadcast_to(np.clip(cv + offs[:, None], 0.0, h - 1.0), (out_side, out_side))
     return ImageBuffer.from_array(_bilinear_sample(values, su, sv), clip=True)
-
-
-def for_each_side(center, sides, fn):
-    """``[fn(side) for side in sides]``, all or nothing.
-
-    Every side whose ``fn`` raises ``SupportError`` is collected, and one
-    ``SupportError`` naming the center and all of those sides is raised.
-    ``dsp_scatter`` uses this so one message lists each patch of the size
-    prior that leaves the image.
-    """
-    out, bad = [], []
-    for side in sides:
-        try:
-            out.append(fn(side))
-        except SupportError:
-            bad.append(side)
-    if bad:
-        raise SupportError(
-            "window sides out of bounds at ({:.1f}, {:.1f}): {}".format(
-                center[0], center[1], ", ".join(f"{s:.2f}" for s in bad)
-            )
-        )
-    return out
 
 
 # ---------------------------------------------------------------------------

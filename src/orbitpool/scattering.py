@@ -24,7 +24,7 @@ from typing import List, Tuple
 import numpy as np
 from scipy import ndimage
 
-from .image import ImageBuffer, SupportError, extract_patch, for_each_side
+from .image import ImageBuffer, SupportError, extract_patch, patch_inside
 from .descriptor import Keypoint, SizePrior
 
 __all__ = [
@@ -32,6 +32,7 @@ __all__ = [
     "ScatteringVector",
     "build_filter_bank",
     "scatter",
+    "pool_vectors",
     "dsp_scatter",
 ]
 
@@ -265,6 +266,21 @@ def _cascade_fft(values: np.ndarray, bank: FilterBank, weights: np.ndarray) -> T
     return order1, order2
 
 
+def pool_vectors(weights, vectors) -> ScatteringVector:
+    """Coefficient-wise ``sum(w * vec)`` over paired weights and vectors.
+
+    The sums start from 0, so one vector of weight 1.0 pools to itself,
+    bit for bit.
+    """
+    weighted = list(zip(weights, vectors))
+    return ScatteringVector(
+        sum(w * vec.order0 for w, vec in weighted),
+        sum(w * vec.order1 for w, vec in weighted),
+        sum(w * vec.order2 for w, vec in weighted),
+        vectors[0].pairs,
+    )
+
+
 def dsp_scatter(
     img: ImageBuffer,
     kp: Keypoint,
@@ -277,18 +293,19 @@ def dsp_scatter(
     Each prior sample selects a window of side multiplier * base_size *
     support_factor around the keypoint; windows are resampled to
     ``SAMPLE_SIDE`` px so coefficient vectors share an index set, then
-    averaged coefficient-wise with the prior weights.  Any window that
-    does not fit raises with the offending sides listed.
+    pooled coefficient-wise with the prior weights by ``pool_vectors``,
+    as ``bench.describe`` pools them.  Every side is checked with
+    ``patch_inside`` before any is resampled, and when any window does
+    not fit one ``SupportError`` lists each offending side.
     """
-    sides = [m * kp.base_size * support_factor for m in prior.multipliers]
-    patches = for_each_side(
-        (kp.u, kp.v), sides, lambda side: extract_patch(img, (kp.u, kp.v), side, SAMPLE_SIDE)
-    )
-    vecs = [scatter(patch, bank) for patch in patches]
-    weighted = list(zip(prior.weights, vecs))
-    return ScatteringVector(
-        sum(w * vec.order0 for w, vec in weighted),
-        sum(w * vec.order1 for w, vec in weighted),
-        sum(w * vec.order2 for w, vec in weighted),
-        vecs[0].pairs,
-    )
+    center = (kp.u, kp.v)
+    (sides,) = prior.sides([kp.base_size], support_factor)
+    bad = [side for side in sides if not patch_inside(center, side, SAMPLE_SIDE, img.values.shape)]
+    if bad:
+        raise SupportError(
+            "window sides out of bounds at ({:.1f}, {:.1f}): {}".format(
+                kp.u, kp.v, ", ".join(f"{s:.2f}" for s in bad)
+            )
+        )
+    vectors = [scatter(extract_patch(img, center, side, SAMPLE_SIDE), bank) for side in sides]
+    return pool_vectors(prior.weights, vectors)

@@ -4,14 +4,19 @@ import math
 import numpy as np
 import pytest
 
+from orbitpool import bench
 from orbitpool.bench import (
     KINDS,
+    SCATTER_FLAT_TOL,
     THRESHOLDS,
     EvalRecord,
+    EvalReport,
     MatchConfig,
     SynthSpec,
     _pr_area,
+    _sweep,
     describe,
+    describe_kinds,
     evaluate,
     load_pair,
     make_pair,
@@ -28,6 +33,7 @@ from orbitpool.descriptor import (
     grid_keypoints,
 )
 from orbitpool.image import ImageBuffer, SupportError, compute_gradients
+from orbitpool.scattering import build_filter_bank, dsp_scatter
 from orbitpool import textures
 
 
@@ -333,6 +339,133 @@ class TestMatchPair:
         assert got == expected
 
 
+def scattering_oracle(img, kps, prior, bank):
+    """Rows of a scattering kind from one ``dsp_scatter`` per keypoint."""
+    kept, rows, flags = [], [], []
+    for i, kp in enumerate(kps):
+        try:
+            vec = dsp_scatter(img, kp, prior, bank)
+        except SupportError:
+            continue
+        flat = vec.flatten()[1:]
+        norm = np.linalg.norm(flat)
+        flag = norm <= SCATTER_FLAT_TOL * abs(vec.order0)
+        kept.append(i)
+        rows.append(np.zeros_like(flat) if flag else flat / norm)
+        flags.append(flag)
+    return kept, np.stack(rows), flags
+
+
+class TestDescribeKinds:
+    """One description of an image for all kinds equals describing kind by kind."""
+
+    @pytest.fixture(scope="class")
+    def pairs(self):
+        ramp = textures.benchmark_bases(1)[0]
+        return [
+            make_pair(ramp, SynthSpec(scale_range=(0.7, 0.7)), np.random.default_rng([77, 0, 70]), name="ramp"),
+            make_pair(noise_base(26), SynthSpec(scale_range=(1.2, 1.2), rotation_range=(0.4, 0.4)),
+                      np.random.default_rng(3), name="noise"),
+        ]
+
+    @pytest.mark.parametrize(
+        "prior, layout",
+        [
+            (SizePrior.default(), "rotated"),  # keypoints cross the border and are dropped
+            (SizePrior.uniform((0.8, 1.2)), "rotated"),  # no 1.0 side for sc to take
+            (SizePrior.uniform((0.9, 1.0, 1.1)), "inside"),  # every side of every keypoint fits
+        ],
+    )
+    def test_rows_equal_one_kind_at_a_time(self, pairs, prior, layout):
+        mcfg = MatchConfig()
+        bank = mcfg.scattering_bank()
+        for pair in pairs:
+            for img in (pair.reference, pair.transformed):
+                lattice = grid_keypoints(img, 11, 5.0)
+                if layout == "rotated":
+                    kps = [Keypoint(kp.u + 0.25, kp.v - 0.5, kp.base_size, 0.9) for kp in lattice]
+                else:
+                    kps = [kp for kp in lattice if 15.0 <= min(kp.u, kp.v, 95.0 - kp.u, 95.0 - kp.v)]
+                every = describe_kinds(img, kps, KINDS, prior, mcfg.descriptor, bank)
+                assert list(every) == list(KINDS)
+                for kind in KINDS:
+                    kept, matrix, degenerate = every[kind]
+                    one = describe(img, kps, kind, prior, mcfg.descriptor, bank)
+                    assert kept == one[0]
+                    assert matrix.tobytes() == one[1].tobytes()
+                    assert degenerate.tobytes() == one[2].tobytes()
+                    if layout == "rotated":
+                        assert 0 < len(kept) < len(kps)
+                    else:
+                        assert len(kept) == len(kps)
+                for kind in ("sc", "dsp-sc"):
+                    want = scattering_oracle(img, kps, SizePrior.delta() if kind == "sc" else prior, bank)
+                    kept, matrix, degenerate = every[kind]
+                    assert kept == want[0]
+                    assert matrix.tobytes() == want[1].tobytes()
+                    assert degenerate.tolist() == want[2]
+
+    def test_repeated_kinds_give_one_entry(self):
+        img = noise_base(27, side=64)
+        mcfg = MatchConfig()
+        kps = grid_keypoints(img, 12, 6.0)
+        args = (mcfg.prior, mcfg.descriptor, mcfg.scattering_bank())
+        every = describe_kinds(img, kps, ["sc", "sift", "sc"], *args)
+        assert list(every) == ["sc", "sift"]
+        assert every["sc"][1].tobytes() == describe(img, kps, "sc", *args)[1].tobytes()
+
+    def test_bank_too_large_for_the_sample_raises(self):
+        # the largest kernel of a 4-scale bank is 53 px, and every window
+        # is resampled to 32
+        img = noise_base(28, side=64)
+        mcfg = MatchConfig()
+        with pytest.raises(SupportError, match="largest kernel"):
+            describe(img, grid_keypoints(img, 12, 6.0), "sc", mcfg.prior, mcfg.descriptor,
+                     build_filter_bank(scales=4))
+
+
+class TestWorkCounts:
+    def test_each_image_described_once(self, monkeypatch):
+        pair = make_pair(noise_base(29, side=72), SynthSpec(scale_range=(1.3, 1.3)),
+                         np.random.default_rng(5), name="w")
+        mcfg = MatchConfig(ratio=max(THRESHOLDS))
+        ref_kps = grid_keypoints(pair.reference, mcfg.stride, mcfg.base_size)
+        pool_kps = [Keypoint(*pair.project((kp.u, kp.v)), mcfg.base_size) for kp in ref_kps]
+        args = (("sc", "dsp-sc"), mcfg.prior, mcfg.descriptor, mcfg.scattering_bank())
+        want_scatters = 0
+        for img, kps in ((pair.reference, ref_kps), (pair.transformed, pool_kps)):
+            described = describe_kinds(img, kps, *args)
+            for i, kp in enumerate(kps):
+                sides = set()
+                for kind, prior in (("sc", SizePrior.delta()), ("dsp-sc", mcfg.prior)):
+                    if i in described[kind][0]:
+                        sides.update(prior.sides([kp.base_size], mcfg.descriptor.support_factor)[0])
+                want_scatters += len(sides)
+
+        calls = {"compute_gradients": 0, "scatter": 0, "extract_patch": 0, "support_errors": 0}
+
+        def counted(name, fn):
+            def wrapper(*a, **k):
+                calls[name] += 1
+                try:
+                    return fn(*a, **k)
+                except SupportError:
+                    calls["support_errors"] += 1
+                    raise
+            return wrapper
+
+        for name in ("compute_gradients", "scatter", "extract_patch"):
+            monkeypatch.setattr(bench, name, counted(name, getattr(bench, name)))
+        report = evaluate([pair], KINDS, mcfg)
+        assert len(report.records) == len(KINDS) * len(THRESHOLDS)
+        assert calls == {
+            "compute_gradients": 2,
+            "scatter": want_scatters,
+            "extract_patch": want_scatters,
+            "support_errors": 0,
+        }
+
+
 class TestPRArea:
     def test_step_area_hand_case(self):
         rows = [
@@ -416,6 +549,38 @@ class TestEvaluate:
         report = evaluate(pairs, ["dsp-sift", "sift"])
         keys = [(r.pair, r.kind, r.threshold) for r in report.records]
         assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("kinds", [["sift", "dsp-sift"], ["sift", "sift"]])
+    def test_rows_in_task_order_for_shared_names(self, kinds):
+        # two distinct pairs named alike: sorted (name, kind) tasks
+        # interleave them by kind, and each must keep its own matches
+        flat = ImageBuffer.from_array(np.full((64, 64), 0.5))
+        pairs = [
+            make_pair(noise_base(30, side=64), SynthSpec(scale_range=(1.2, 1.2)), np.random.default_rng(0), name="p"),
+            make_pair(flat, SynthSpec(), np.random.default_rng(1), name="p"),
+            make_pair(noise_base(31, side=64), SynthSpec(), np.random.default_rng(2), name="a"),
+        ]
+        mcfg = MatchConfig(ratio=max(THRESHOLDS))
+        report = evaluate(pairs, kinds, mcfg)
+
+        tasks = sorted(((p, k) for p in pairs for k in kinds), key=lambda t: (t[0].name, t[1]))
+        records, flagged, ap = [], [], {k: [] for k in kinds}
+        for p, k in tasks:
+            pm = match_pair(p, k, mcfg)
+            rows = _sweep(pm)
+            records.extend(rows)
+            ap[k].append(_pr_area(rows))
+            if pm.warning or not pm.records:
+                flagged.append((pm.pair, pm.kind))
+        want = EvalReport(tuple(records), {k: float(np.mean(v)) for k, v in ap.items()}, 0.0, tuple(flagged))
+
+        got_csv, want_csv = io.StringIO(), io.StringIO()
+        report.write_csv(got_csv)
+        want.write_csv(want_csv)
+        assert got_csv.getvalue().encode() == want_csv.getvalue().encode()
+        assert report.flagged == want.flagged
+        assert ("p", "sift") in report.flagged
+        assert report.mean_ap == want.mean_ap
 
     def test_byte_identical_reports(self):
         pairs = synth_pairs([noise_base(23), noise_base(24)],

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitpool.image import (
+    _SNAP_EPS,
     AffineContrast,
     GammaContrast,
     ImageBuffer,
@@ -22,6 +23,7 @@ from orbitpool.image import (
     gaussian_blur,
     gradient_field_of_array,
     load_image,
+    patch_inside,
     save_pgm,
     warp,
     warp_boxes,
@@ -421,6 +423,57 @@ class TestExtractPatch:
         img = textures.ramp(16, 16)
         with pytest.raises(SupportError):
             extract_patch(img, (2.0, 2.0), side=10, out_side=8)
+
+
+@st.composite
+def patch_requests(draw):
+    """An image shape and a patch request, its centre often within
+    ``_SNAP_EPS`` of where the patch's outermost samples meet the border."""
+    h, w = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    out_side = draw(st.integers(1, 40))
+    side = draw(st.floats(1e-3, 60.0))
+    reach = ((out_side - 1) / 2.0) * (side / out_side)
+
+    def coordinate(extent):
+        near = draw(st.floats(-3 * _SNAP_EPS, 3 * _SNAP_EPS))
+        return draw(
+            st.one_of(
+                st.floats(-5.0, extent + 5.0),
+                st.just(reach + near),
+                st.just(extent - 1 - reach + near),
+            )
+        )
+
+    return (h, w), (coordinate(w), coordinate(h)), side, out_side
+
+
+class TestPatchInside:
+    @settings(max_examples=400, deadline=None)
+    @given(patch_requests())
+    def test_true_exactly_when_extract_patch_resamples(self, request):
+        shape, center, side, out_side = request
+        img = ImageBuffer.from_array(np.zeros(shape))
+        # the bound the sample grid itself reaches
+        offs = (np.arange(out_side, dtype=np.float64) - (out_side - 1) / 2.0) * (side / out_side)
+        su, sv = center[0] + offs, center[1] + offs
+        h, w = shape
+        fits = bool(
+            su.min() >= -_SNAP_EPS and su.max() <= w - 1 + _SNAP_EPS
+            and sv.min() >= -_SNAP_EPS and sv.max() <= h - 1 + _SNAP_EPS
+        )
+        assert patch_inside(center, side, out_side, shape) == fits
+        try:
+            patch = extract_patch(img, center, side, out_side)
+        except SupportError:
+            assert not fits
+        else:
+            assert fits
+            assert patch.values.shape == (out_side, out_side)
+
+    def test_non_finite_leaves_the_image(self):
+        assert patch_inside((10.0, 10.0), 4.0, 8, (20, 20))
+        assert not patch_inside((10.0, 10.0), math.inf, 8, (20, 20))
+        assert not patch_inside((math.nan, 10.0), 4.0, 8, (20, 20))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitpool import textures
+from orbitpool import scattering, textures
 from orbitpool.descriptor import Keypoint, SizePrior
 from orbitpool.image import ImageBuffer, SupportError, extract_patch
 from orbitpool.scattering import build_filter_bank, dsp_scatter, scatter
@@ -251,3 +251,14 @@ class TestDspScatter:
         with pytest.raises(SupportError) as err:
             dsp_scatter(img, Keypoint(32.0, 32.0, 18.0), SizePrior.default(), bank)
         assert "70.20" in str(err.value)
+
+    def test_every_side_out_of_bounds_listed_before_resampling(self, bank, monkeypatch):
+        # at u = 10 the windows of side 20.7 and 23.4 reach past the left
+        # edge; the other three fit
+        img = textures.filtered_noise(64, 64, seed=1)
+        resampled = []
+        monkeypatch.setattr(scattering, "extract_patch", lambda *a: resampled.append(a))
+        with pytest.raises(SupportError) as err:
+            dsp_scatter(img, Keypoint(10.0, 32.0, 6.0), SizePrior.default(), bank)
+        assert str(err.value) == "window sides out of bounds at (10.0, 32.0): 20.70, 23.40"
+        assert resampled == []
