@@ -13,6 +13,7 @@ Gaussian envelope, with the DC component subtracted at construction so
 constant patches produce no band-pass response, and the modulus mass
 normalized to one.  All convolutions are circular; the frequency-domain
 path is the one used, and the direct path is the reference it must match.
+Transforms go through ``scipy.fft`` on its default single worker.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import List, Tuple
 
 import numpy as np
-from scipy import ndimage
+from scipy import fft, ndimage
 
 from .image import ImageBuffer, SupportError, extract_patch, patch_inside
 from .descriptor import Keypoint, SizePrior
@@ -110,7 +111,7 @@ class FilterBank:
                     r = (k.shape[0] - 1) // 2
                     buf = np.zeros((h, w), dtype=complex)
                     buf[: k.shape[0], : k.shape[1]] = k
-                    stack[j, l] = np.fft.fft2(np.roll(buf, (-r, -r), axis=(0, 1)))
+                    stack[j, l] = fft.fft2(np.roll(buf, (-r, -r), axis=(0, 1)))
             stack.flags.writeable = False
             self._cache[key] = stack
         return stack
@@ -156,7 +157,8 @@ class ScatteringVector:
 
     ``order1[j, l]`` averages the modulus of the (j, l) response;
     ``order2[p, l1, l2]`` does the same for the cascade whose scale pair
-    is ``pairs[p]`` (always j1 < j2).  Every entry is nonnegative.
+    is ``pairs[p]`` (always j1 < j2).  Every entry is finite and
+    nonnegative.
     """
 
     order0: float
@@ -167,6 +169,8 @@ class ScatteringVector:
     def __post_init__(self):
         o1 = np.asarray(self.order1, dtype=float)
         o2 = np.asarray(self.order2, dtype=float)
+        if not (math.isfinite(self.order0) and np.isfinite(o1).all() and np.isfinite(o2).all()):
+            raise ValueError("scattering coefficients must be finite")
         if self.order0 < 0 or (o1 < 0).any() or (o2 < 0).any():
             raise ValueError("scattering coefficients must be nonnegative")
         if o2.shape[0] != len(self.pairs):
@@ -243,23 +247,25 @@ def _cascade_fft(values: np.ndarray, bank: FilterBank, weights: np.ndarray) -> T
     Order 1 is one inverse transform of a ``(J, H, h, w)`` stack; order 2
     is, for each j1, one transform of ``u1[j1]`` and one inverse transform
     of the ``(J-j1-1, H, H, h, w)`` stack over the coarser scales.  The
-    results are tiled back to all L orientations.
+    results are tiled back to all L orientations.  Every spectrum handed
+    to ``averaged_modulus`` is a fresh product, so its inverse transform
+    may overwrite it; the cached kernel FFTs and the patch are only read.
     """
     J, L, H = bank.scales, bank.rotations, bank.distinct_rotations
     ffts = bank.kernel_ffts(values.shape)
     flat_weights = weights.ravel()
 
     def averaged_modulus(spectra):
-        u = np.abs(np.fft.ifft2(spectra))
+        u = np.abs(fft.ifft2(spectra, overwrite_x=True))
         return u, u.reshape(*u.shape[:-2], -1) @ flat_weights
 
-    u1, half1 = averaged_modulus(np.fft.fft2(values) * ffts)
+    u1, half1 = averaged_modulus(fft.fft2(values) * ffts)
     tile = np.arange(L) % H
     order1 = half1[:, tile]
 
     half2 = []
     for j1 in range(J - 1):
-        fu = np.fft.fft2(u1[j1])
+        fu = fft.fft2(u1[j1])
         _, means = averaged_modulus(fu[None, :, None] * ffts[j1 + 1 :, None])
         half2.extend(means)
     order2 = np.stack(half2)[:, tile][:, :, tile] if half2 else np.zeros((0, L, L))

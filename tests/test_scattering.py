@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from orbitpool import scattering, textures
 from orbitpool.descriptor import Keypoint, SizePrior
 from orbitpool.image import ImageBuffer, SupportError, extract_patch
-from orbitpool.scattering import build_filter_bank, dsp_scatter, scatter
+from orbitpool.scattering import ScatteringVector, build_filter_bank, dsp_scatter, scatter
 
 
 @pytest.fixture(scope="module")
@@ -170,6 +170,24 @@ class TestScatter:
             b = scatter(patch, bank, method="direct").flatten()
             npt.assert_allclose(a, b, atol=1e-12)
 
+    def test_fft_path_writes_only_its_own_memory(self):
+        # the inverse transforms overwrite their input, which must always be
+        # a temporary: never the cached kernel FFTs, the weights or the patch
+        bank = build_filter_bank()
+        for side in (32, 40):
+            patch = textures.filtered_noise(side, side, seed=side)
+            shape = patch.values.shape
+            ffts, weights = bank.kernel_ffts(shape).copy(), bank.lowpass_weights(shape).copy()
+            values = patch.values.copy()
+            first = scatter(patch, bank).flatten()
+            second = scatter(patch, bank).flatten()
+            npt.assert_array_equal(first, second)
+            npt.assert_array_equal(bank.kernel_ffts(shape), ffts)
+            npt.assert_array_equal(bank.lowpass_weights(shape), weights)
+            npt.assert_array_equal(patch.values, values)
+            assert not bank.kernel_ffts(shape).flags.writeable
+            assert not bank.lowpass_weights(shape).flags.writeable
+
     def test_translation_stability(self, bank):
         base = textures.gaussian_blob(48, 48, center=(24.0, 24.0), sigma=4.0)
         shifted = ImageBuffer(np.roll(base.values, (0, 2), axis=(0, 1)))
@@ -185,6 +203,19 @@ class TestScatter:
         s2 = scatter(half, bank).flatten()
         npt.assert_allclose(s2, 0.5 * s1, rtol=1e-9)
         npt.assert_allclose(s2 / s2.sum(), s1 / s1.sum(), rtol=1e-9)
+
+
+class TestScatteringVector:
+    @pytest.mark.parametrize("bad, message", [(np.nan, "finite"), (np.inf, "finite"), (-0.5, "nonnegative")])
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_rejects_bad_coefficient(self, order, bad, message):
+        coeffs = [0.5, np.full((3, 8), 0.5), np.full((3, 8, 8), 0.5)]
+        if order == 0:
+            coeffs[0] = bad
+        else:
+            coeffs[order][1, 2] = bad
+        with pytest.raises(ValueError, match=message):
+            ScatteringVector(*coeffs, ((0, 1), (0, 2), (1, 2)))
 
 
 def small_cases(rotations=st.integers(2, 9)):
