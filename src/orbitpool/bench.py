@@ -273,6 +273,12 @@ class MatchConfig:
     descriptor: DescriptorConfig = field(default_factory=DescriptorConfig)
     bank: Optional[FilterBank] = None
 
+    def __post_init__(self):
+        if not 0 < self.ratio <= 1:
+            raise ValueError(f"ratio must be in (0, 1], got {self.ratio}")
+        if not (math.isfinite(self.radius) and self.radius > 0):
+            raise ValueError(f"radius must be finite and positive, got {self.radius}")
+
     def scattering_bank(self) -> FilterBank:
         return self.bank if self.bank is not None else _shared_bank()
 

@@ -125,12 +125,12 @@ def build_parser() -> _Parser:
 
 
 def _cmd_describe(args) -> int:
-    if args.sizes and args.kind not in ("dsp-sift", "dsp-sc"):
+    if args.sizes is not None and args.kind not in ("dsp-sift", "dsp-sc"):
         raise ValueError(f"--sizes sets the pooling prior of dsp-sift and dsp-sc, not of {args.kind}")
     img = load_image(args.image)
     cfg = DescriptorConfig(cells=args.cells, bins=args.bins)
     kps = dog_keypoints(img) if args.dog else grid_keypoints(img, stride=16, base_size=8.0)
-    prior = SizePrior.uniform(args.sizes) if args.sizes else SizePrior.default()
+    prior = SizePrior.uniform(args.sizes) if args.sizes is not None else SizePrior.default()
     kept, matrix, degenerate = describe(img, kps, args.kind, prior, cfg, build_filter_bank())
     if not kept:
         raise ValueError(f"no keypoints with descriptor support in {args.image}")

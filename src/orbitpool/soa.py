@@ -92,11 +92,15 @@ class GroupSampleSet:
             if not cloud:
                 raise ValueError("perturbation lists must be nonempty")
             weights = [w for _, w in cloud]
+            if not all(math.isfinite(w) for w in weights):
+                raise ValueError("perturbation weights must be finite")
             if any(w < 0 for w in weights):
                 raise ValueError("perturbation weights must be nonnegative")
             total = sum(weights)
             if total <= 0:
                 raise ValueError("perturbation weights must not all be zero")
+            if not math.isfinite(total):
+                raise ValueError("perturbation weights must have a finite sum")
             normalized.append(tuple((g, w / total) for g, w in cloud))
         object.__setattr__(self, "anti_alias", tuple(normalized))
 

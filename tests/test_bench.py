@@ -175,6 +175,22 @@ class TestPairIO:
             load_pair(tmp_path)
 
 
+class TestMatchConfig:
+    def test_callers_values_accepted(self):
+        for ratio in (0.8, 0.95, 1.0, max(THRESHOLDS)):
+            assert MatchConfig(ratio=ratio, radius=3.0).ratio == ratio
+
+    @pytest.mark.parametrize("ratio", [math.nan, 0.0, -0.5, 1.5, math.inf])
+    def test_ratio_outside_unit_interval_rejected(self, ratio):
+        with pytest.raises(ValueError, match="ratio must be in"):
+            MatchConfig(ratio=ratio)
+
+    @pytest.mark.parametrize("radius", [math.nan, 0.0, -3.0, math.inf])
+    def test_radius_must_be_finite_and_positive(self, radius):
+        with pytest.raises(ValueError, match="radius must be finite and positive"):
+            MatchConfig(radius=radius)
+
+
 class TestMatchPair:
     @pytest.mark.parametrize("kind", ["sift", "dsp-sift"])
     def test_identity_pair_mostly_correct(self, kind):

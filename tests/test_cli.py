@@ -131,6 +131,17 @@ class TestDescribe:
         assert captured.out == ""
         assert "--sizes" in captured.err
 
+    @pytest.mark.parametrize("sizes", ["", ","])
+    def test_empty_sizes_rejected(self, noise_file, sizes, capsys):
+        assert main(["describe", noise_file, "--kind", "dsp-sift", "--sizes", sizes]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "prior needs at least one sample" in captured.err
+        assert main(["describe", noise_file, "--kind", "sift", "--sizes", sizes]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--sizes" in captured.err
+
     @pytest.mark.parametrize("kind", KINDS)
     def test_rows_are_what_matching_compares(self, noise_file, tmp_path, kind):
         dest = tmp_path / "desc.csv"

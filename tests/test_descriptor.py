@@ -512,6 +512,34 @@ def half_flat_field(seed):
     return compute_gradients(ImageBuffer.from_array(values))
 
 
+def few_orientation_values(name):
+    """SIDE x SIDE images whose pixels share few gradient orientations."""
+    if name == "ramp":
+        return textures.ramp(SIDE, SIDE, angle=0.3).values
+    if name == "checkerboard":
+        return textures.checkerboard(SIDE, SIDE, cell=4).values
+    if name == "half-constant":
+        values = textures.ramp(SIDE, SIDE, angle=1.1).values.copy()
+        values[:, SIDE // 2 :] = 0.5
+        return values
+    return np.full((SIDE, SIDE), 0.5)
+
+
+FEW_ORIENTATION_FIELDS = ("ramp", "checkerboard", "half-constant", "flat")
+LATTICE_ORIENTATIONS = {
+    "unrotated": lambda k: 0.0,
+    "shared": lambda k: 0.9,
+    "three": lambda k: (0.0, 0.9, 4.1)[k % 3],
+    "rotated": lambda k: 0.4 * k - 3.0,
+}
+
+
+def lattice_with(orientation):
+    """Keypoints with overlapping windows, more than one chunk of them inside the image."""
+    points = [(float(u), float(v)) for v in range(3, SIDE, 5) for u in range(3, SIDE, 5)]
+    return [Keypoint(u, v, 2.0, orientation(k)) for k, (u, v) in enumerate(points)]
+
+
 class TestAccumulateGrids:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), keypoint_sets(), keypoints_and_priors())
@@ -552,6 +580,38 @@ class TestAccumulateGrids:
             reference_grid(gradient_field_of_array(stack[k]), kp, sides[k], weights[k], cfg) for k, kp in enumerate(kps)
         ]
         assert kept == [k for k, grid in enumerate(want) if grid is not None]
+        npt.assert_array_equal(bits(raw), bits([want[k] for k in kept]).reshape(-1, cfg.length))
+
+    @pytest.mark.parametrize("orientation", sorted(LATTICE_ORIENTATIONS))
+    @pytest.mark.parametrize("name", FEW_ORIENTATION_FIELDS)
+    def test_pixels_sharing_relative_orientations(self, name, orientation):
+        # different pixels of one chunk share a relative orientation here,
+        # and so a kernel column, which noise fields almost never give
+        cfg = DescriptorConfig()
+        f = compute_gradients(ImageBuffer.from_array(few_orientation_values(name)))
+        kps = lattice_with(LATTICE_ORIENTATIONS[orientation])
+        prior = SizePrior.default()
+        sides = prior.sides([kp.base_size for kp in kps], cfg.support_factor)
+        kept, raw = accumulate_grids(f, kps, sides, prior.weights, cfg)
+        want = [reference_grid(f, kp, sides[i], prior.weights, cfg) for i, kp in enumerate(kps)]
+        assert kept == [i for i, grid in enumerate(want) if grid is not None]
+        assert len(kept) > GRID_CHUNK
+        npt.assert_array_equal(bits(raw), bits([want[i] for i in kept]).reshape(-1, cfg.length))
+        assert raw.any() == (name != "flat")
+
+    @pytest.mark.parametrize("orientation", sorted(LATTICE_ORIENTATIONS))
+    def test_layered_field_sharing_relative_orientations(self, orientation):
+        cfg = DescriptorConfig()
+        kps = lattice_with(LATTICE_ORIENTATIONS[orientation])
+        layers = [few_orientation_values(FEW_ORIENTATION_FIELDS[k % 4]) for k in range(len(kps))]
+        sides = [[0.8 * cfg.support_factor * kp.base_size, cfg.support_factor * kp.base_size] for kp in kps]
+        weights = (0.25, 0.75)
+        kept, raw = accumulate_grids(gradient_field_of_array(np.stack(layers)), kps, sides, weights, cfg)
+        want = [
+            reference_grid(gradient_field_of_array(layers[k]), kp, sides[k], weights, cfg) for k, kp in enumerate(kps)
+        ]
+        assert kept == [k for k, grid in enumerate(want) if grid is not None]
+        assert len(kept) > GRID_CHUNK
         npt.assert_array_equal(bits(raw), bits([want[k] for k in kept]).reshape(-1, cfg.length))
 
     def test_layers_and_weight_rows_must_match_keypoints(self):

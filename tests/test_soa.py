@@ -82,6 +82,20 @@ class TestGroupSampleSet:
         with pytest.raises(ValueError):
             GroupSampleSet((SimilarityTransform.identity(),), (bad,))
 
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ((math.nan, 1.0), "must be finite"),
+            ((math.inf, 1.0), "must be finite"),
+            ((1.0, -math.inf), "must be finite"),
+            ((1e308, 1e308), "must have a finite sum"),
+        ],
+    )
+    def test_non_finite_weights_rejected(self, weights, message):
+        cloud = tuple((SimilarityTransform(rotation=0.1 * k), w) for k, w in enumerate(weights))
+        with pytest.raises(ValueError, match=message):
+            GroupSampleSet((SimilarityTransform.identity(),), (cloud,))
+
 
 class TestBuildTemplate:
     def test_identity_collapse(self):
