@@ -35,7 +35,6 @@ from .image import (
     SimilarityTransform,
     apply_contrast,
     compute_gradients,
-    extract_patch,
     load_image,
     patch_inside,
     save_pgm,
@@ -46,7 +45,7 @@ from .scattering import (
     FilterBank,
     build_filter_bank,
     pool_vectors,
-    scatter,
+    scatter_windows,
 )
 from .textures import benchmark_bases
 
@@ -373,34 +372,43 @@ def describe_kinds(
 
 
 def _scattering_rows(img, keypoints, priors, cfg, bank) -> Dict[str, Description]:
-    """The rows of each scattering kind, each under its own prior in ``priors``."""
-    found = {kind: ([], [], []) for kind in priors}
-    for i, kp in enumerate(keypoints):
-        center = (kp.u, kp.v)
-        vectors = {}  # by window side
-        for kind, prior in priors.items():
-            (sides,) = prior.sides([kp.base_size], cfg.support_factor)
-            if not all(patch_inside(center, side, SAMPLE_SIDE, img.values.shape) for side in sides):
-                continue
-            for side in sides:
-                if side not in vectors:
-                    vectors[side] = scatter(extract_patch(img, center, side, SAMPLE_SIDE), bank)
-            vec = pool_vectors(prior.weights, [vectors[side] for side in sides])
-            # order 0 is the local mean: brightness, not structure.  It
-            # dominates the raw norm, so drop it and l2-normalize the
-            # wavelet orders before euclidean matching, unless all they
-            # hold is round-off.
-            flat = vec.flatten()[1:]
-            norm = np.linalg.norm(flat)
-            degenerate = norm <= SCATTER_FLAT_TOL * abs(vec.order0)
-            kept, rows, flags = found[kind]
-            kept.append(i)
-            rows.append(np.zeros_like(flat) if degenerate else flat / norm)
-            flags.append(degenerate)
-    return {
-        kind: (kept, np.stack(rows) if rows else np.zeros((0, 1)), np.array(flags, dtype=bool))
-        for kind, (kept, rows, flags) in found.items()
-    }
+    """The rows of each scattering kind, each under its own prior in ``priors``.
+
+    Every (keypoint, side) window that some kind keeps is listed once, and
+    all of them are scattered by one ``scatter_windows`` call.
+    """
+    windows = {}  # (keypoint index, side) -> row in the scattered arrays
+    kept = {}
+    for kind, prior in priors.items():
+        sides = prior.sides([kp.base_size for kp in keypoints], cfg.support_factor)
+        kept[kind] = [
+            (i, row)
+            for i, (kp, row) in enumerate(zip(keypoints, sides))
+            if all(patch_inside((kp.u, kp.v), side, SAMPLE_SIDE, img.values.shape) for side in row)
+        ]
+        for i, row in kept[kind]:
+            for side in row:
+                windows.setdefault((i, side), len(windows))
+    centers = [(keypoints[i].u, keypoints[i].v) for i, _ in windows]
+    scattered = scatter_windows(img, centers, [side for _, side in windows], bank)
+    out = {}
+    for kind, prior in priors.items():
+        index = np.array([[windows[i, side] for side in row] for i, row in kept[kind]], dtype=np.intp)
+        index = index.reshape(len(kept[kind]), len(prior.weights))
+        order0, order1, order2 = (pool_vectors(prior.weights, orders[index.T]) for orders in scattered)
+        # order 0 is the local mean: brightness, not structure.  It
+        # dominates the raw norm, so drop it and l2-normalize the wavelet
+        # orders before euclidean matching, unless all they hold is
+        # round-off.
+        rows, flags = [], []
+        for mean, coarse, fine in zip(order0, order1, order2):
+            coefficients = np.concatenate((coarse.ravel(), fine.ravel()))
+            norm = np.linalg.norm(coefficients)
+            flags.append(norm <= SCATTER_FLAT_TOL * abs(mean))
+            rows.append(np.zeros_like(coefficients) if flags[-1] else coefficients / norm)
+        matrix = np.stack(rows) if rows else np.zeros((0, 1))
+        out[kind] = [i for i, _ in kept[kind]], matrix, np.array(flags, dtype=bool)
+    return out
 
 
 def describe(
@@ -565,14 +573,16 @@ def evaluate(
     """Match every (pair, kind) and sweep the ratio ``THRESHOLDS``.
 
     Each pair is matched once for all kinds by ``match_kinds``, so each
-    of its images is described once.  The report's rows follow the
-    stable sorted (pair name, kind) order of the tasks; pairs that share
-    a name stay apart, as distinct objects.
+    of its images is described once.  A kind named twice is evaluated
+    once.  The report's rows follow the stable sorted (pair name, kind)
+    order of the tasks; pairs that share a name stay apart, as distinct
+    objects.
     """
     if not pairs:
         raise ValueError("need at least one pair")
     if not kinds:
         raise ValueError("need at least one descriptor kind")
+    kinds = list(dict.fromkeys(kinds))
     if mcfg is None:
         mcfg = MatchConfig(ratio=max(THRESHOLDS))
     start = time.perf_counter()

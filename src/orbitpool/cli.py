@@ -207,8 +207,8 @@ def _cmd_eval(args) -> int:
     kinds = tuple(k.strip() for k in args.kinds.split(",") if k.strip())
     report = evaluate(pairs, kinds)
     report.save(args.out)
-    for kind in kinds:
-        print(f"mAP {kind} = {report.mean_ap[kind]:.4f}")
+    for kind, ap in report.mean_ap.items():
+        print(f"mAP {kind} = {ap:.4f}")
     print(f"wrote {args.out}")
     return 0
 

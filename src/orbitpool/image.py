@@ -293,6 +293,7 @@ def compute_gradients(img):
 def _bilinear_sample(values, su, sv):
     """Bilinear sample at source coords, with lattice snapping.
 
+    ``su`` and ``sv`` broadcast against each other to the output shape.
     Callers guarantee ``0 <= su <= w-1`` and ``0 <= sv <= h-1``; exact
     lattice hits (within 1e-9) are returned without interpolation so that
     quarter-turn rotations are pure pixel permutations.
@@ -397,27 +398,34 @@ def patch_inside(center, side, out_side, shape):
     )
 
 
-def extract_patch(img, center, side, out_side):
-    """Resample a square window of physical side ``side`` to ``out_side`` px.
+def extract_patches(img, centers, sides, out_side):
+    """Resample square windows of sides ``sides`` around ``centers`` to ``out_side`` px.
 
+    Returns the ``(N, out_side, out_side)`` stack, clipped into ``[0, 1]``,
+    from one bilinear pass that gives each window the bits it gets alone.
     Output sample ``a`` lies at ``center + (a - (out_side-1)/2) * side/out_side``,
     so ``side == out_side`` at an integer-centered window is an exact crop.
-    Raises ``SupportError`` when ``patch_inside`` finds that the window
-    leaves the image.
+    Raises ``SupportError`` for the first window that ``patch_inside``
+    finds leaving the image, before any is resampled.
     """
-    if side <= 0:
-        raise ValueError(f"patch side must be positive, got {side}")
     values = img.values
     h, w = values.shape
-    cu, cv = center
-    if not patch_inside(center, side, out_side, (h, w)):
-        raise SupportError(
-            f"patch of side {side} at ({cu}, {cv}) leaves the {w}x{h} image"
-        )
-    offs = (np.arange(out_side, dtype=np.float64) - (out_side - 1) / 2.0) * (side / out_side)
-    su = np.broadcast_to(np.clip(cu + offs[None, :], 0.0, w - 1.0), (out_side, out_side))
-    sv = np.broadcast_to(np.clip(cv + offs[:, None], 0.0, h - 1.0), (out_side, out_side))
-    return ImageBuffer.from_array(_bilinear_sample(values, su, sv), clip=True)
+    for (cu, cv), side in zip(centers, sides):
+        if side <= 0:
+            raise ValueError(f"patch side must be positive, got {side}")
+        if not patch_inside((cu, cv), side, out_side, (h, w)):
+            raise SupportError(f"patch of side {side} at ({cu}, {cv}) leaves the {w}x{h} image")
+    cu, cv = np.array(centers, dtype=np.float64).reshape(-1, 2, 1, 1).transpose(1, 0, 2, 3)
+    steps = np.array(sides, dtype=np.float64).reshape(-1, 1, 1) / out_side
+    offs = (np.arange(out_side, dtype=np.float64) - (out_side - 1) / 2.0) * steps
+    su = np.clip(cu + offs, 0.0, w - 1.0)
+    sv = np.clip(cv + offs.transpose(0, 2, 1), 0.0, h - 1.0)
+    return np.clip(_bilinear_sample(values, su, sv), 0.0, 1.0)
+
+
+def extract_patch(img, center, side, out_side):
+    """Resample one window: the one-window case of ``extract_patches``."""
+    return ImageBuffer(extract_patches(img, [center], [side], out_side)[0])
 
 
 # ---------------------------------------------------------------------------

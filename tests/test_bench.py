@@ -458,11 +458,16 @@ class TestWorkCounts:
                         sides.update(prior.sides([kp.base_size], mcfg.descriptor.support_factor)[0])
                 want_scatters += len(sides)
 
-        calls = {"compute_gradients": 0, "scatter": 0, "extract_patch": 0, "support_errors": 0}
+        # scatter_windows(img, centers, sides, bank): one call per image,
+        # listing each (keypoint, side) window once
+        calls = {"compute_gradients": 0, "scatter_windows": 0, "windows": 0, "distinct": 0, "support_errors": 0}
 
         def counted(name, fn):
             def wrapper(*a, **k):
                 calls[name] += 1
+                if name == "scatter_windows":
+                    calls["windows"] += len(a[2])
+                    calls["distinct"] += len(set(zip(a[1], a[2])))
                 try:
                     return fn(*a, **k)
                 except SupportError:
@@ -470,14 +475,15 @@ class TestWorkCounts:
                     raise
             return wrapper
 
-        for name in ("compute_gradients", "scatter", "extract_patch"):
+        for name in ("compute_gradients", "scatter_windows"):
             monkeypatch.setattr(bench, name, counted(name, getattr(bench, name)))
         report = evaluate([pair], KINDS, mcfg)
         assert len(report.records) == len(KINDS) * len(THRESHOLDS)
         assert calls == {
             "compute_gradients": 2,
-            "scatter": want_scatters,
-            "extract_patch": want_scatters,
+            "scatter_windows": 2,
+            "windows": want_scatters,
+            "distinct": want_scatters,
             "support_errors": 0,
         }
 
@@ -516,6 +522,17 @@ class TestEvaluate:
         for kind in KINDS:
             assert report.mean_ap[kind] >= 0.95
         assert report.runtime_seconds > 0
+
+    def test_repeated_kinds_evaluated_once(self):
+        pair = make_pair(noise_base(21, side=64), SynthSpec(scale_range=(1.2, 1.2)),
+                         np.random.default_rng(2), name="twice")
+        once, twice = io.StringIO(), io.StringIO()
+        evaluate([pair], ["sift"]).write_csv(once)
+        report = evaluate([pair], ["sift", "sift"])
+        report.write_csv(twice)
+        assert twice.getvalue() == once.getvalue()
+        assert len(report.records) == len(THRESHOLDS)
+        assert list(report.mean_ap) == ["sift"]
 
     def test_flat_pairs_flagged_with_zero_ap(self):
         flat = ImageBuffer.from_array(np.full((96, 96), 0.5))
@@ -579,7 +596,8 @@ class TestEvaluate:
         mcfg = MatchConfig(ratio=max(THRESHOLDS))
         report = evaluate(pairs, kinds, mcfg)
 
-        tasks = sorted(((p, k) for p in pairs for k in kinds), key=lambda t: (t[0].name, t[1]))
+        # a kind named twice is evaluated once
+        tasks = sorted(((p, k) for p in pairs for k in dict.fromkeys(kinds)), key=lambda t: (t[0].name, t[1]))
         records, flagged, ap = [], [], {k: [] for k in kinds}
         for p, k in tasks:
             pm = match_pair(p, k, mcfg)

@@ -201,11 +201,15 @@ class TestSynthMatchEval:
         pairs_dir = tmp_path / "pairs"
         assert main(["synth", "--bases", str(base_dir), "--out", str(pairs_dir),
                      "--seed", "9", "--scale-range", "0.8,1.2", "--occlusion", "0.2"]) == 0
-        r1, r2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
-        assert main(["eval", "--pairs", str(pairs_dir), "--kinds", "sift", "--out", str(r1)]) == 0
-        assert main(["eval", "--pairs", str(pairs_dir), "--kinds", "sift", "--out", str(r2)]) == 0
-        assert r1.read_bytes() == r2.read_bytes()
+        r1, r2, r3 = tmp_path / "r1.csv", tmp_path / "r2.csv", tmp_path / "r3.csv"
         capsys.readouterr()
+        assert main(["eval", "--pairs", str(pairs_dir), "--kinds", "sift", "--out", str(r1)]) == 0
+        once = capsys.readouterr().out
+        assert main(["eval", "--pairs", str(pairs_dir), "--kinds", "sift", "--out", str(r2)]) == 0
+        # a kind named twice is evaluated, written and printed once
+        assert main(["eval", "--pairs", str(pairs_dir), "--kinds", "sift,sift", "--out", str(r3)]) == 0
+        assert r1.read_bytes() == r2.read_bytes() == r3.read_bytes()
+        assert capsys.readouterr().out.split("\n")[2:] == once.replace("r1.csv", "r3.csv").split("\n")
 
     def test_synth_deterministic_across_runs(self, base_dir, tmp_path, capsys):
         d1, d2 = tmp_path / "p1", tmp_path / "p2"

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitpool import scattering, textures
+from orbitpool import image, scattering, textures
 from orbitpool.descriptor import Keypoint, SizePrior
-from orbitpool.image import ImageBuffer, SupportError, extract_patch
-from orbitpool.scattering import ScatteringVector, build_filter_bank, dsp_scatter, scatter
+from orbitpool.image import ImageBuffer, SupportError, extract_patch, extract_patches
+from orbitpool.scattering import ScatteringVector, build_filter_bank, dsp_scatter, scatter, scatter_windows
 
 
 @pytest.fixture(scope="module")
@@ -252,6 +252,82 @@ class TestScatterProperties:
         npt.assert_array_equal(vec.order2[:, :, :h], vec.order2[:, :, h:])
 
 
+def edge_windows(n, shape=(64, 80)):
+    """n windows of non-integer sides around non-integer centres; the
+    first ones end on an image edge (the first just outside it, within
+    the snapping tolerance), the rest lie inside."""
+    h, w = shape
+    rng = np.random.default_rng(n)
+    sides = list(rng.uniform(14.0, 40.0, n))
+    centers = []
+    for k, side in enumerate(sides):
+        reach = ((scattering.SAMPLE_SIDE - 1) / 2.0) * (side / scattering.SAMPLE_SIDE)
+        inner = (float(rng.uniform(reach, w - 1 - reach)), float(rng.uniform(reach, h - 1 - reach)))
+        edges = [(reach - 5e-10, inner[1]), (inner[0], h - 1 - reach), (w - 1 - reach, reach)]
+        centers.append(edges[k] if k < len(edges) else inner)
+    return centers, sides
+
+
+class TestScatterWindows:
+    """A stack of windows gives each window the bits it gets alone."""
+
+    @pytest.mark.parametrize("n", [1, 3, 4, 5, 9])
+    @pytest.mark.parametrize("scales, rotations", [(3, 8), (2, 5), (3, 6)])
+    def test_rows_equal_one_window_at_a_time(self, n, scales, rotations):
+        # 5 and 6 rotations give 5 and 3 distinct orientations, so a
+        # gemv over more rows than one (H, h*w) core would reach BLAS's
+        # remainder loop
+        bank = build_filter_bank(scales, rotations)
+        img = textures.filtered_noise(80, 64, seed=n)
+        centers, sides = edge_windows(n)
+        order0, order1, order2 = scatter_windows(img, centers, sides, bank)
+        pairs = scales * (scales - 1) // 2
+        assert order0.shape == (n,) and order1.shape == (n, scales, rotations)
+        assert order2.shape == (n, pairs, rotations, rotations)
+        for k, (center, side) in enumerate(zip(centers, sides)):
+            alone = scatter(extract_patch(img, center, side, scattering.SAMPLE_SIDE), bank)
+            got = np.concatenate(([order0[k]], order1[k].ravel(), order2[k].ravel()))
+            assert got.tobytes() == alone.flatten().tobytes()
+
+    @pytest.mark.parametrize("n", [1, 3, 4, 5, 9])
+    def test_patches_equal_one_window_at_a_time(self, n):
+        img = textures.filtered_noise(80, 64, seed=n + 10)
+        centers, sides = edge_windows(n)
+        for out_side in (32, 27):
+            stack = extract_patches(img, centers, sides, out_side)
+            alone = np.stack([extract_patch(img, c, s, out_side).values for c, s in zip(centers, sides)])
+            assert stack.tobytes() == alone.tobytes()
+            # the sample grid of one window, written out
+            h, w = img.values.shape
+            for (cu, cv), side, patch in zip(centers, sides, stack):
+                offs = (np.arange(out_side, dtype=np.float64) - (out_side - 1) / 2.0) * (side / out_side)
+                su = np.broadcast_to(np.clip(cu + offs[None, :], 0.0, w - 1.0), (out_side, out_side))
+                sv = np.broadcast_to(np.clip(cv + offs[:, None], 0.0, h - 1.0), (out_side, out_side))
+                want = np.clip(image._bilinear_sample(img.values, su, sv), 0.0, 1.0)
+                assert patch.tobytes() == want.tobytes()
+
+    def test_window_leaving_the_image_raises(self, bank):
+        img = textures.filtered_noise(80, 64, seed=2)
+        centers, sides = edge_windows(5)
+        centers[3] = (centers[3][0], 2.0)
+        with pytest.raises(SupportError, match="leaves the 80x64 image"):
+            extract_patches(img, centers, sides, 32)
+        with pytest.raises(SupportError, match="leaves the 80x64 image"):
+            scatter_windows(img, centers, sides, bank)
+
+    def test_bank_too_large_raises_before_resampling(self, monkeypatch):
+        img = textures.filtered_noise(80, 64, seed=3)
+        resampled = []
+        monkeypatch.setattr(scattering, "extract_patches", lambda *a: resampled.append(a))
+        with pytest.raises(SupportError, match="largest kernel side 53 exceeds the 32x32 patch"):
+            scatter_windows(img, *edge_windows(3), build_filter_bank(scales=4))
+        assert resampled == []
+
+    def test_no_windows(self, bank):
+        order0, order1, order2 = scatter_windows(textures.filtered_noise(64, 64, seed=4), [], [], bank)
+        assert order0.shape == (0,) and order1.shape == (0, 3, 8) and order2.shape == (0, 3, 8, 8)
+
+
 class TestDspScatter:
     def test_delta_prior_reduces_exactly(self, bank):
         img = textures.filtered_noise(64, 64, seed=4)
@@ -288,7 +364,7 @@ class TestDspScatter:
         # edge; the other three fit
         img = textures.filtered_noise(64, 64, seed=1)
         resampled = []
-        monkeypatch.setattr(scattering, "extract_patch", lambda *a: resampled.append(a))
+        monkeypatch.setattr(scattering, "extract_patches", lambda *a: resampled.append(a))
         with pytest.raises(SupportError) as err:
             dsp_scatter(img, Keypoint(10.0, 32.0, 6.0), SizePrior.default(), bank)
         assert str(err.value) == "window sides out of bounds at (10.0, 32.0): 20.70, 23.40"
