@@ -11,6 +11,7 @@ descriptor kind.
 import csv
 import json
 import math
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -50,6 +51,10 @@ from .scattering import (
 from .textures import benchmark_bases
 
 KINDS = ("sift", "dsp-sift", "sc", "dsp-sc")
+#: The kinds that describe with gradient histograms; the others scatter.
+HISTOGRAM_KINDS = ("sift", "dsp-sift")
+#: The kinds that pool over the size prior; the others take its delta.
+POOLED_KINDS = ("dsp-sift", "dsp-sc")
 THRESHOLDS = (0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95)
 #: A scattering row whose wavelet norm is at most this share of its
 #: order-0 mean is flat: on a constant window the DC-free kernels leave
@@ -216,38 +221,51 @@ def _contrast_meta(cmap):
     raise ValueError(f"cannot serialize contrast map {type(cmap).__name__}")
 
 
+def _number(meta, key):
+    """The number under ``key`` of meta.json; a bool, or one not finite as a float, raises ValueError."""
+    value = meta[key]
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise ValueError(f"meta.json field {key!r} must be a finite number, got {value!r}")
+    return value
+
+
 def _contrast_from_meta(meta):
     if meta is None:
         return None
     if meta["kind"] == "gamma":
-        return GammaContrast(meta["gamma"])
+        return GammaContrast(_number(meta, "gamma"))
     if meta["kind"] == "affine":
-        return AffineContrast(meta["gain"], meta["offset"])
+        return AffineContrast(_number(meta, "gain"), _number(meta, "offset"))
     raise ValueError(f"unknown contrast kind {meta['kind']!r}")
 
 
 def load_pair(dirpath) -> SyntheticPair:
-    """Read a pair directory written by save_pair."""
+    """Read a pair directory written by save_pair; a malformed meta.json field raises ValueError naming it."""
     d = Path(dirpath)
     meta_path = d / "meta.json"
     if not meta_path.exists():
         raise FileNotFoundError(f"no meta.json in {d}")
     with open(meta_path) as fh:
         meta = json.load(fh)
+    if not isinstance(meta, dict):
+        raise ValueError(f"{meta_path} must hold a JSON object, got {type(meta).__name__}")
+    name = meta.get("name", d.name)
+    contrast = meta.get("contrast")
+    occluder = meta.get("occluder")
+    if not isinstance(name, str):
+        raise ValueError(f"meta.json field 'name' must be a string, got {name!r}")
+    if not (contrast is None or isinstance(contrast, dict)):
+        raise ValueError(f"meta.json field 'contrast' must be null or an object, got {contrast!r}")
+    if occluder is not None and not (
+        isinstance(occluder, list) and len(occluder) == 4 and all(type(x) is int for x in occluder)
+    ):
+        raise ValueError(f"meta.json field 'occluder' must be null or 4 integers, got {occluder!r}")
+    gt = SimilarityTransform(scale=_number(meta, "scale"), rotation=_number(meta, "rotation"))
+    cmap = _contrast_from_meta(contrast)
     reference = load_image(d / "reference.pgm")
     transformed = load_image(d / "transformed.pgm")
     mask = load_image(d / "mask.pgm").values > 0.5
-    gt = SimilarityTransform(scale=meta["scale"], rotation=meta["rotation"])
-    occluder = tuple(meta["occluder"]) if meta.get("occluder") else None
-    return SyntheticPair(
-        meta.get("name", d.name),
-        reference,
-        transformed,
-        gt,
-        mask,
-        _contrast_from_meta(meta.get("contrast")),
-        occluder,
-    )
+    return SyntheticPair(name, reference, transformed, gt, mask, cmap, tuple(occluder) if occluder else None)
 
 
 # ---------------------------------------------------------------------------
@@ -339,25 +357,26 @@ def describe_kinds(
     Maps each kind to the indices of its kept keypoints (those whose
     windows all fit), their descriptor matrix and per-row degenerate
     flags.  Windows have side multiplier * base_size *
-    ``cfg.support_factor``: ``sift`` and ``sc`` under the delta prior,
-    ``dsp-sift`` and ``dsp-sc`` under ``prior``.  The histogram kinds
-    share one gradient field and take one ``accumulate_grids`` pass
-    each.  The scattering kinds share one ``scatter`` per keypoint and
-    window side, pooled by ``pool_vectors`` as in ``dsp_scatter``, so
-    ``sc``, whose side is bit for bit ``dsp-sc``'s at multiplier 1.0,
-    scatters nothing of its own under a prior holding 1.0; sides are
-    checked with ``patch_inside`` before any is resampled.  Rows are
-    bit-identical to describing each kind alone.  A histogram is
-    degenerate when its window has no gradient mass, a scattering row
-    when the norm of its wavelet coefficients is at most
-    ``SCATTER_FLAT_TOL`` times its order-0 mean; such a row is all zeros.
+    ``cfg.support_factor``: the ``POOLED_KINDS`` under ``prior``, the
+    others under the delta prior.  The ``HISTOGRAM_KINDS`` share one
+    gradient field and take one ``accumulate_grids`` pass each.  The
+    scattering kinds list each (keypoint, window side) once and scatter
+    all of them in one ``scatter_windows`` call, pooled by
+    ``pool_vectors`` as in ``dsp_scatter``, so ``sc``, whose side is bit
+    for bit ``dsp-sc``'s at multiplier 1.0, scatters nothing of its own
+    under a prior holding 1.0; sides are checked with ``patch_inside``
+    before any is resampled.  Rows are bit-identical to describing each
+    kind alone.  A histogram is degenerate when its window has no
+    gradient mass, a scattering row when the norm of its wavelet
+    coefficients is at most ``SCATTER_FLAT_TOL`` times its order-0 mean;
+    such a row is all zeros.
     """
     for kind in kinds:
         if kind not in KINDS:
             raise ValueError(f"unknown descriptor kind {kind!r}, expected one of {KINDS}")
-    priors = {kind: SizePrior.delta() if kind in ("sift", "sc") else prior for kind in kinds}
+    priors = {kind: prior if kind in POOLED_KINDS else SizePrior.delta() for kind in kinds}
     out = {}
-    histogram = [kind for kind in priors if kind in ("sift", "dsp-sift")]
+    histogram = [kind for kind in priors if kind in HISTOGRAM_KINDS]
     if histogram:
         field = compute_gradients(img)
     for kind in histogram:
@@ -365,7 +384,7 @@ def describe_kinds(
         kept, raw = accumulate_grids(field, keypoints, sides, priors[kind].weights, cfg)
         rows, degenerate = normalize_grids(raw, cfg)
         out[kind] = kept, (rows if kept else np.zeros((0, 1))), degenerate
-    scattering = {kind: p for kind, p in priors.items() if kind in ("sc", "dsp-sc")}
+    scattering = {kind: p for kind, p in priors.items() if kind not in HISTOGRAM_KINDS}
     if scattering:
         out.update(_scattering_rows(img, keypoints, scattering, cfg, bank))
     return {kind: out[kind] for kind in priors}
@@ -612,25 +631,16 @@ def evaluate(
     )
 
 
-def directional_benchmark(
-    num_bases: int = 20,
-    scales: Sequence[float] = (0.7, 0.8, 1.2, 1.4),
-    kinds: Sequence[str] = KINDS,
-    seed: int = 77,
-    mcfg: Optional[MatchConfig] = None,
-    occlusion: float = 0.0,
-) -> EvalReport:
+def directional_benchmark() -> EvalReport:
     """Self-contained scale-nuisance benchmark over procedural textures.
 
-    Every base is paired with each fixed scale factor; size pooling is the
-    only defense the descriptors have, which is exactly the comparison the
-    report's mean_ap summarizes.
+    Pairs each of 20 bases with each scale 0.7, 0.8, 1.2 and 1.4 (seed
+    77); size pooling is the only defense the descriptors have, which is
+    exactly the comparison the report's mean_ap summarizes.
     """
-    bases = benchmark_bases(num_bases)
     pairs = []
-    for i, base in enumerate(bases):
-        for s in scales:
-            spec = SynthSpec(scale_range=(s, s), occlusion=occlusion)
-            rng = np.random.default_rng([seed, i, int(round(s * 100))])
-            pairs.append(make_pair(base, spec, rng, name=f"b{i:02d}-x{s}"))
-    return evaluate(pairs, kinds, mcfg=mcfg)
+    for i, base in enumerate(benchmark_bases(20)):
+        for s in (0.7, 0.8, 1.2, 1.4):
+            rng = np.random.default_rng([77, i, int(round(s * 100))])
+            pairs.append(make_pair(base, SynthSpec(scale_range=(s, s)), rng, name=f"b{i:02d}-x{s}"))
+    return evaluate(pairs)

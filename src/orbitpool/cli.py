@@ -12,7 +12,9 @@ import sys
 from pathlib import Path
 
 from .bench import (
+    HISTOGRAM_KINDS,
     KINDS,
+    POOLED_KINDS,
     MatchConfig,
     SynthSpec,
     describe,
@@ -125,8 +127,8 @@ def build_parser() -> _Parser:
 
 
 def _cmd_describe(args) -> int:
-    if args.sizes is not None and args.kind not in ("dsp-sift", "dsp-sc"):
-        raise ValueError(f"--sizes sets the pooling prior of dsp-sift and dsp-sc, not of {args.kind}")
+    if args.sizes is not None and args.kind not in POOLED_KINDS:
+        raise ValueError(f"--sizes sets the pooling prior of {' and '.join(POOLED_KINDS)}, not of {args.kind}")
     img = load_image(args.image)
     cfg = DescriptorConfig(cells=args.cells, bins=args.bins)
     kps = dog_keypoints(img) if args.dog else grid_keypoints(img, stride=16, base_size=8.0)
@@ -137,7 +139,7 @@ def _cmd_describe(args) -> int:
     if len(kept) < len(kps):
         print(f"dropped {len(kps) - len(kept)} keypoints without support", file=sys.stderr)
 
-    if args.kind in ("sift", "dsp-sift"):
+    if args.kind in HISTOGRAM_KINDS:
         header = {"cells": cfg.cells, "bins": cfg.bins, "metric": "bhattacharyya"}
     else:
         header = {"order": 2, "length": matrix.shape[1], "kind": args.kind}

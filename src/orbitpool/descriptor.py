@@ -1,14 +1,15 @@
-"""Grid descriptors, rotation canonization, and domain-size pooling.
+"""Grid descriptors and domain-size pooling.
 
 A descriptor here is a C x C grid of l1-normalized orientation histograms
-computed over a square window around a keypoint.  In-plane rotation is
-handled by canonization: the window is expressed in a frame rotated by the
-keypoint's principal orientation before cells and orientations are read
-off.  Size, by contrast, is marginalized rather than canonized: the
-size-pooled variant averages the un-normalized cell histograms over a
-prior on window sizes and normalizes once at the end, which keeps the
-affine-contrast cancellation intact while spreading the descriptor's
-support over the sizes an unknown occlusion could leave co-visible.
+computed over a square window around a keypoint.  The window is expressed
+in a frame rotated by the keypoint's ``orientation`` field, which the
+caller sets; the detectors here leave it at 0, a fixed frame, and rotation
+is left to orbit search.  Size, too, is marginalized rather than
+canonized: the size-pooled variant averages the un-normalized cell
+histograms over a prior on window sizes and normalizes once at the end,
+which keeps the affine-contrast cancellation intact while spreading the
+descriptor's support over the sizes an unknown occlusion could leave
+co-visible.
 """
 
 from __future__ import annotations
@@ -22,14 +23,7 @@ import numpy as np
 from scipy import ndimage
 
 from .image import GradientField, ImageBuffer, SupportError, gaussian_blur
-from .orientation import (
-    CircularKernel,
-    SpatialKernel,
-    pooled_histogram,
-    soft_vote,
-    vote_kernel,
-    wrap_angle,
-)
+from .orientation import CircularKernel, soft_vote, vote_kernel, wrap_angle
 
 __all__ = [
     "Keypoint",
@@ -38,7 +32,6 @@ __all__ = [
     "DescriptorConfig",
     "grid_keypoints",
     "dog_keypoints",
-    "principal_orientations",
     "window_box",
     "window_inside",
     "accumulate_grid",
@@ -257,45 +250,6 @@ def dog_keypoints(img: ImageBuffer) -> List[Keypoint]:
             keypoints.append(Keypoint(float(u), float(v), math.sqrt(sigmas[i] * sigmas[i + 1])))
     keypoints.sort(key=lambda k: (k.v, k.u, k.base_size))
     return keypoints
-
-
-# ---------------------------------------------------------------------------
-# canonization
-
-
-def principal_orientations(field: GradientField, kp: Keypoint) -> List[float]:
-    """Dominant gradient directions around a keypoint, at most two.
-
-    Builds a 36-bin orientation histogram over a Gaussian window of scale
-    1.5 * base_size, then returns the global peak and the strongest other
-    local peak reaching 80% of it, each refined by fitting a parabola
-    through the peak bin and its neighbors.  Flat support yields an empty
-    list.
-    """
-    bins = 36
-    sigma = 1.5 * kp.base_size
-    hist = pooled_histogram(
-        field,
-        (kp.u, kp.v),
-        3.0 * sigma,
-        SpatialKernel(sigma),
-        CircularKernel(2.0 * np.pi / bins),
-        bins=bins,
-    )
-    if hist.total_mass <= 0:
-        return []
-    h = hist.bins
-    top = h.max()
-    peaks = []
-    for b in range(bins):
-        left, right = h[(b - 1) % bins], h[(b + 1) % bins]
-        if h[b] > left and h[b] > right and h[b] >= 0.8 * top:
-            denom = left - 2.0 * h[b] + right
-            offset = 0.0 if denom == 0 else 0.5 * (left - right) / denom
-            angle = float(np.mod((b + offset) * 2.0 * np.pi / bins, 2.0 * np.pi))
-            peaks.append((float(h[b]), angle))
-    peaks.sort(key=lambda p: (-p[0], p[1]))
-    return [angle for _, angle in peaks[:2]]
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ import numpy as np
 from scipy import fft, ndimage
 
 from .image import ImageBuffer, SupportError, extract_patches, patch_inside
-from .descriptor import Keypoint, SizePrior
+from .descriptor import DescriptorConfig, Keypoint, SizePrior
 
 __all__ = [
     "FilterBank",
@@ -323,17 +323,12 @@ def pool_vectors(weights, windows):
     return sum(w * window for w, window in zip(weights, windows))
 
 
-def dsp_scatter(
-    img: ImageBuffer,
-    kp: Keypoint,
-    prior: SizePrior,
-    bank: FilterBank,
-    support_factor: float = 3.0,
-) -> ScatteringVector:
+def dsp_scatter(img: ImageBuffer, kp: Keypoint, prior: SizePrior, bank: FilterBank) -> ScatteringVector:
     """Average scattering vectors over the size prior.
 
     Each prior sample selects a window of side multiplier * base_size *
-    support_factor around the keypoint; windows are resampled to
+    support_factor around the keypoint, with the default
+    ``DescriptorConfig.support_factor``; windows are resampled to
     ``SAMPLE_SIDE`` px and scattered by ``scatter_windows`` so coefficient
     vectors share an index set, then pooled coefficient-wise with the
     prior weights by ``pool_vectors``, as ``bench.describe`` pools them.
@@ -342,7 +337,7 @@ def dsp_scatter(
     offending side.
     """
     center = (kp.u, kp.v)
-    (sides,) = prior.sides([kp.base_size], support_factor)
+    (sides,) = prior.sides([kp.base_size], DescriptorConfig.support_factor)
     bad = [side for side in sides if not patch_inside(center, side, SAMPLE_SIDE, img.values.shape)]
     if bad:
         raise SupportError(

@@ -1,4 +1,5 @@
 import io
+import json
 import math
 
 import numpy as np
@@ -172,6 +173,36 @@ class TestPairIO:
 
     def test_missing_meta(self, tmp_path):
         with pytest.raises(FileNotFoundError):
+            load_pair(tmp_path)
+
+    @pytest.mark.parametrize(
+        "changes, field",
+        [
+            ({"scale": "2"}, "scale"),
+            ({"scale": None}, "scale"),
+            ([1.0, 0.0], None),
+            ({"contrast": "gamma"}, "contrast"),
+            ({"occluder": 5}, "occluder"),
+            ({"contrast": {"kind": "gamma", "gamma": "x"}}, "gamma"),
+            ({"name": 3}, "name"),
+            ({"rotation": True}, "rotation"),
+            ({"occluder": [1, 2, 3]}, "occluder"),
+            ({"occluder": [1, 2, 3, 4.0]}, "occluder"),
+            ({"scale": 10**400}, "scale"),
+            ({"contrast": {"kind": "affine", "gain": 1.0, "offset": math.nan}}, "offset"),
+        ],
+        ids=[
+            "scale-string", "scale-null", "top-level-list", "contrast-string", "occluder-int",
+            "gamma-string", "name-int", "rotation-bool", "occluder-three", "occluder-float",
+            "scale-huge-int", "offset-nan",
+        ],
+    )
+    def test_malformed_meta_names_the_field(self, tmp_path, changes, field):
+        save_pair(make_pair(noise_base(14, side=48), SynthSpec(), np.random.default_rng(7)), tmp_path)
+        path = tmp_path / "meta.json"
+        meta = {**json.loads(path.read_text()), **changes} if field else changes
+        path.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=repr(field) if field else "JSON object"):
             load_pair(tmp_path)
 
 

@@ -76,6 +76,15 @@ class TestDataErrors:
         empty.mkdir()
         assert main(["eval", "--pairs", str(empty)]) == 2
 
+    def test_eval_on_malformed_meta(self, base_dir, tmp_path, capsys):
+        pairs_dir = tmp_path / "pairs"
+        assert main(["synth", "--bases", str(base_dir), "--out", str(pairs_dir)]) == 0
+        meta = pairs_dir / "pair-000" / "meta.json"
+        meta.write_text(meta.read_text().replace('"scale": 1.0', '"scale": "1.0"'))
+        capsys.readouterr()
+        assert main(["eval", "--pairs", str(pairs_dir), "--out", str(tmp_path / "r.csv")]) == 2
+        assert "error: meta.json field 'scale'" in capsys.readouterr().err
+
     def test_bad_sample_spec(self, noise_file, capsys):
         assert main(["soa", "--template", noise_file, "--query", noise_file,
                      "--samples", "spin:9"]) == 2
