@@ -24,7 +24,7 @@ from .descriptor import (
     DescriptorConfig,
     Keypoint,
     SizePrior,
-    accumulate_grids,
+    accumulate_pools,
     grid_keypoints,
     normalize_grids,
 )
@@ -359,17 +359,18 @@ def describe_kinds(
     flags.  Windows have side multiplier * base_size *
     ``cfg.support_factor``: the ``POOLED_KINDS`` under ``prior``, the
     others under the delta prior.  The ``HISTOGRAM_KINDS`` share one
-    gradient field and take one ``accumulate_grids`` pass each.  The
-    scattering kinds list each (keypoint, window side) once and scatter
-    all of them in one ``scatter_windows`` call, pooled by
-    ``pool_vectors`` as in ``dsp_scatter``, so ``sc``, whose side is bit
-    for bit ``dsp-sc``'s at multiplier 1.0, scatters nothing of its own
-    under a prior holding 1.0; sides are checked with ``patch_inside``
-    before any is resampled.  Rows are bit-identical to describing each
-    kind alone.  A histogram is degenerate when its window has no
-    gradient mass, a scattering row when the norm of its wavelet
-    coefficients is at most ``SCATTER_FLAT_TOL`` times its order-0 mean;
-    such a row is all zeros.
+    gradient field and one ``accumulate_pools`` pass, one pool per kind,
+    so ``sift``'s window, bit for bit ``dsp-sift``'s at multiplier 1.0,
+    is gathered and weighted once.  The scattering kinds list each
+    (keypoint, window side) once and scatter all of them in one
+    ``scatter_windows`` call, pooled by ``pool_vectors`` as in
+    ``dsp_scatter``, so ``sc``, whose side is bit for bit ``dsp-sc``'s at
+    multiplier 1.0, scatters nothing of its own under a prior holding
+    1.0; sides are checked with ``patch_inside`` before any is resampled.
+    Rows are bit-identical to describing each kind alone.  A histogram is
+    degenerate when its window has no gradient mass, a scattering row when
+    the norm of its wavelet coefficients is at most ``SCATTER_FLAT_TOL``
+    times its order-0 mean; such a row is all zeros.
     """
     for kind in kinds:
         if kind not in KINDS:
@@ -378,12 +379,11 @@ def describe_kinds(
     out = {}
     histogram = [kind for kind in priors if kind in HISTOGRAM_KINDS]
     if histogram:
-        field = compute_gradients(img)
-    for kind in histogram:
-        sides = priors[kind].sides([kp.base_size for kp in keypoints], cfg.support_factor)
-        kept, raw = accumulate_grids(field, keypoints, sides, priors[kind].weights, cfg)
-        rows, degenerate = normalize_grids(raw, cfg)
-        out[kind] = kept, (rows if kept else np.zeros((0, 1))), degenerate
+        bases = [kp.base_size for kp in keypoints]
+        pools = [(priors[kind].sides(bases, cfg.support_factor), priors[kind].weights) for kind in histogram]
+        for kind, (kept, raw) in zip(histogram, accumulate_pools(compute_gradients(img), keypoints, pools, cfg)):
+            rows, degenerate = normalize_grids(raw, cfg)
+            out[kind] = kept, (rows if kept else np.zeros((0, 1))), degenerate
     scattering = {kind: p for kind, p in priors.items() if kind not in HISTOGRAM_KINDS}
     if scattering:
         out.update(_scattering_rows(img, keypoints, scattering, cfg, bank))
@@ -472,9 +472,9 @@ def match_kinds(
             continue
 
         dists = cdist(ref_vecs, pool_vecs)
+        orders = np.argsort(dists, axis=1, kind="stable")
         records = []
-        for row, i in enumerate(ref_idx):
-            order = np.argsort(dists[row], kind="stable")
+        for row, (i, order) in enumerate(zip(ref_idx, orders)):
             j = int(order[0])
             d1 = float(dists[row, j])
             if len(order) < 2:

@@ -36,6 +36,7 @@ __all__ = [
     "window_inside",
     "accumulate_grid",
     "accumulate_grids",
+    "accumulate_pools",
     "normalize_grid",
     "normalize_grids",
     "single_size_descriptor",
@@ -307,8 +308,7 @@ def window_inside(kp: Keypoint, size: float, shape: Tuple[int, int]) -> bool:
     return _inside(_window_extent(kp, size), shape)
 
 
-# keypoints whose windows are gathered and voted together, with the kernel
-# evaluated once per distinct relative orientation in the chunk
+# keypoints whose windows are gathered and voted together
 GRID_CHUNK = 8
 
 
@@ -322,57 +322,91 @@ def accumulate_grids(
     """Un-normalized C x C x B grids of many keypoints, each summed over its windows.
 
     ``sides`` holds one row of window sides per keypoint, and ``weights``
-    one weight per column, shared by every keypoint, or one row of
-    weights per keypoint.  Every window is a square of its side in the
-    keypoint's rotated frame, cut into the same C x C cells.  A valid
-    pixel inside a window adds weight * magnitude * (Gaussian weight about
-    its cell's centre) to that cell; the grid is linear in these votes, so
-    all cells of all windows take one soft vote over the pixels of the
-    largest window.  A field of ``(V, h, w)`` layers holds one layer per
-    keypoint, and keypoint k reads layer k alone.
-
-    Returns the indices of the keypoints whose largest window lies inside
-    the image, and their flat grids, one row each; the others are dropped.
-    Keypoints are taken ``GRID_CHUNK`` at a time.  Within a chunk the
-    orientation kernel is evaluated once per distinct relative orientation
-    in the chunk, however many pixels, windows and keypoints share it, and
-    each grid is the same sum, in the same order, as for its keypoint alone.
+    one weight per column, or one row per keypoint.  A valid pixel inside
+    a window, a square of its side in the keypoint's rotated frame cut
+    into C x C cells, adds weight * magnitude * (Gaussian weight about its
+    cell's centre) to that cell, soft-voted over the orientation bins.  A
+    ``(V, h, w)`` field holds one layer per keypoint.  Returns the indices
+    of the keypoints whose largest window lies inside the image, and their
+    flat grids; this is the one-pool case of ``accumulate_pools``.
     """
-    weights = np.asarray(weights, dtype=float)
-    if weights.ndim not in (1, 2) or not weights.shape[-1]:
-        raise ValueError("need at least one window side")
-    sides = np.asarray(sides, dtype=float).reshape(-1, weights.shape[-1])
-    if len(sides) != len(kps):
-        raise ValueError(f"{len(sides)} rows of sides for {len(kps)} keypoints")
-    if weights.ndim == 2 and len(weights) != len(kps):
-        raise ValueError(f"{len(weights)} rows of weights for {len(kps)} keypoints")
+    return accumulate_pools(field, kps, [(sides, weights)], cfg)[0]
+
+
+def accumulate_pools(
+    field: GradientField,
+    kps: Sequence[Keypoint],
+    pools: Sequence[Tuple[Sequence[Sequence[float]], Union[Sequence[float], Sequence[Sequence[float]]]]],
+    cfg: DescriptorConfig,
+) -> List[Tuple[List[int], np.ndarray]]:
+    """``accumulate_grids`` of each ``(sides, weights)`` pool of the same keypoints, in one pass.
+
+    A pool keeps the keypoints whose largest window of its own lies inside
+    the image.  A keypoint is gathered once, at the largest side among the
+    pools that keep it; a pool with a smaller window reads the pixels inside
+    it, in the same order.  Keypoints are taken ``GRID_CHUNK`` at a time.
+    Cells and Gaussian weights are worked out once per side column, shared
+    by the pools holding it bit for bit, and the orientation kernel once
+    per pixel of a chunk, or, when the keypoints share one orientation on
+    an unlayered field, once per pixel for all chunks.  Each grid is the
+    same sum, in the same order, as for its keypoint and pool alone.
+    """
+    checked = []
+    for sides, weights in pools:
+        weights = np.asarray(weights, dtype=float)
+        if weights.ndim not in (1, 2) or not weights.shape[-1]:
+            raise ValueError("need at least one window side")
+        sides = np.asarray(sides, dtype=float).reshape(-1, weights.shape[-1])
+        if len(sides) != len(kps):
+            raise ValueError(f"{len(sides)} rows of sides for {len(kps)} keypoints")
+        if weights.ndim == 2 and len(weights) != len(kps):
+            raise ValueError(f"{len(weights)} rows of weights for {len(kps)} keypoints")
+        checked.append((sides, weights))
     *layers, h, w = field.magnitude.shape
     if layers and layers != [len(kps)]:
         raise ValueError(f"{layers[0]} field layers for {len(kps)} keypoints")
-    kept, geometry, boxes = [], [], []
-    for i, (kp, largest) in enumerate(zip(kps, sides.max(axis=1).tolist())):
-        extent = _window_extent(kp, largest)
-        if _inside(extent, (h, w)):
+    largest = np.array([sides.max(axis=1) for sides, _ in checked]).reshape(len(pools), len(kps))
+    keeps, gathered, geometry, boxes = [], [], [], []
+    for k, (kp, row) in enumerate(zip(kps, largest.T.tolist())):
+        extents = {side: _window_extent(kp, side) for side in set(row)}
+        keeps.append([_inside(extents[side], (h, w)) for side in row])
+        if any(keeps[-1]):
             # the window lies inside the image, so its box needs no clipping
-            umin, umax, vmin, vmax = extent
-            kept.append(i)
-            geometry.append((kp.u, kp.v, kp.orientation, largest))
+            side = max(side for side, keep in zip(row, keeps[-1]) if keep)
+            umin, umax, vmin, vmax = extents[side]
+            gathered.append(k)
+            geometry.append((kp.u, kp.v, kp.orientation, side))
             boxes.append((math.floor(umin), math.ceil(umax), math.floor(vmin), math.ceil(vmax)))
-    u, v, theta, largest = np.array(geometry).reshape(-1, 4).T
-    u0, u1, v0, v1 = np.array(boxes, dtype=np.intp).reshape(-1, 4).T
+    keeps = np.array(keeps, dtype=bool).reshape(len(kps), len(pools)).T
+    gathered = np.array(gathered, dtype=np.intp)
+    u, v, theta, gathered_side = np.array(geometry).reshape(-1, 4).T
+    boxes = np.array(boxes, dtype=np.intp).reshape(-1, 4)
     # each keypoint's first pixel in the flat field
-    origin = np.array(kept, dtype=np.intp) * (h * w) if layers else np.zeros(len(kept), dtype=np.intp)
-    sides = sides[kept]
-    if weights.ndim == 2:
-        weights = weights[kept]
-    grids = np.empty((len(kept), cfg.length))
-    for start in range(0, len(kept), GRID_CHUNK):
-        chunk = slice(start, start + GRID_CHUNK)
-        box = u0[chunk], u1[chunk], v0[chunk], v1[chunk]
-        pixels = _window_pixels(field, u[chunk], v[chunk], theta[chunk], largest[chunk], box, origin[chunk])
-        chunk_weights = weights[chunk] if weights.ndim == 2 else weights
-        grids[chunk] = _vote_grids(field, pixels, theta[chunk], sides[chunk], chunk_weights, cfg)
-    return kept, grids
+    origin = gathered * (h * w) if layers else np.zeros(len(gathered), dtype=np.intp)
+    # the pools' side columns over the gathered keypoints, bit-equal ones once
+    distinct, plans = {}, []
+    for (sides, weights), keep, top in zip(checked, keeps, largest):
+        columns = [distinct.setdefault(sides[gathered, j].tobytes(), len(distinct)) for j in range(sides.shape[1])]
+        plans.append((keep[gathered], top[gathered], np.broadcast_to(weights, sides.shape)[gathered], columns))
+    side_columns = np.array([np.frombuffer(column) for column in distinct]).T.reshape(len(gathered), len(distinct))
+    chunks = [slice(start, start + GRID_CHUNK) for start in range(0, len(gathered), GRID_CHUNK)]
+    pixels = [_window_pixels(field, u[c], v[c], theta[c], gathered_side[c], boxes[c].T, origin[c]) for c in chunks]
+    table = None
+    if not layers and len(gathered) > 1 and (theta.view(np.int64) == theta[:1].view(np.int64)).all():
+        # a relative orientation is then its pixel's alone: one kernel
+        # column per pixel that some window holds, for all chunks
+        index = np.zeros(h * w, dtype=np.intp)
+        index[np.concatenate([chunk_pixels[0] for chunk_pixels in pixels])] = 1
+        used = np.flatnonzero(index)
+        index[used] = np.arange(used.size)
+        table = index, vote_kernel(wrap_angle(field.orientation.reshape(-1)[used] - theta[0]), cfg.kernel(), cfg.bins)
+    grids = [[np.empty((0, cfg.length))] for _ in pools]
+    for chunk, chunk_pixels in zip(chunks, pixels):
+        plan = [(keep[chunk], top[chunk], weights[chunk], columns) for keep, top, weights, columns in plans]
+        chunk_grids = _vote_grids(field, chunk_pixels, theta[chunk], side_columns[chunk], plan, cfg, table)
+        for pool, pool_grids in zip(grids, chunk_grids):
+            pool.append(pool_grids)
+    return [(gathered[keep].tolist(), np.concatenate(pool)) for (keep, *_), pool in zip(plans, grids)]
 
 
 def _window_pixels(field, u, v, theta, largest, box, origin):
@@ -383,7 +417,7 @@ def _window_pixels(field, u, v, theta, largest, box, origin):
     outside its keypoint's window, far beyond round-off, so the window
     test drops it.  ``origin`` is the flat index of each keypoint's first
     pixel, that of its layer.  Returns the flat field index of every
-    selected pixel, keypoint after keypoint, its offsets ex and ey in the
+    selected pixel, keypoint after keypoint, its offsets (ex, ey) in the
     keypoint's rotated frame, and the number of pixels per keypoint.
     """
     h, w = field.magnitude.shape[-2:]
@@ -398,65 +432,82 @@ def _window_pixels(field, u, v, theta, largest, box, origin):
     ey = s * du + c * dv
     sel = np.maximum(np.abs(ex), np.abs(ey)) <= (largest / 2.0)[:, None, None]
     sel &= field.valid.reshape(-1)[pix]
-    return pix[sel], ex[sel], ey[sel], sel.sum(axis=(1, 2))
+    return pix[sel], np.stack((ex[sel], ey[sel])), sel.sum(axis=(1, 2))
 
 
-def _vote_grids(field, pixels, theta, sides, weights, cfg):
-    """Raw grids of one chunk of keypoints from their selected pixels.
+def _vote_grids(field, pixels, theta, sides, pools, cfg, table):
+    """Raw grids of one chunk of keypoints, for each pool, from the gathered pixels.
 
-    ``weights`` is one row of side weights for the chunk, or one row per
-    keypoint.
+    ``sides`` holds the distinct side columns.  A pool is (the keypoints
+    it keeps, its largest sides, its weights, one row per keypoint, and
+    the distinct column of each of its sides).  ``table``, if not None,
+    maps each pixel to its column of a matrix of kernel columns.
     """
-    pix, ex, ey, counts = pixels
+    pix, e, counts = pixels
     C = cfg.cells
-    n = pix.size
-    # a value per keypoint, spread over its pixels (one keypoint's
-    # broadcasts as it is)
-    def per_pixel(x):
-        return x if counts.size == 1 else np.repeat(x, counts)
+    owner = np.repeat(np.arange(counts.size), counts)
 
-    orientation = field.orientation.reshape(-1)
+    def spread(x, owner=owner):
+        # per-keypoint rows, over the pixels of ``owner``; rows the chunk
+        # shares to the bit stay one row, with the same IEEE operations
+        return x[0] if len(x) == 1 or (x.view(np.int64) == x[:1].view(np.int64)).all() else x[owner]
+
     mag = field.magnitude.reshape(-1)[pix]
-    reach = np.maximum(np.abs(ex), np.abs(ey))
+    reach = np.maximum(np.abs(e[0]), np.abs(e[1]))
 
-    # one row of pixel weights per cell, summed over the windows from 0.0
-    # on, one side at a time; the votes of a pixel outside a side go to a
-    # last, discarded row
-    votes = np.zeros((C * C + 1) * n)
-    index = np.arange(n)
+    # the row of each pixel's cell under each side column, or a last,
+    # discarded row for a pixel outside that side, and its Gaussian weight
+    sides = spread(sides)
     cells = sides / C
     halves = sides / 2.0
     sigma_k = cfg.kappa_fraction * cells
     variances = sigma_k * sigma_k
-    for j in range(sides.shape[1]):
-        half, cell, var = per_pixel(halves[:, j]), per_pixel(cells[:, j]), per_pixel(variances[:, j])
-        # a weight shared by the chunk multiplies as a scalar
-        weight = per_pixel(weights[:, j]) if weights.ndim == 2 else weights[j]
-        cx = np.minimum(np.floor((ex + half) / cell), C - 1)
-        cy = np.minimum(np.floor((ey + half) / cell), C - 1)
-        dcx = ex - ((cx + 0.5) * cell - half)
-        dcy = ey - ((cy + 0.5) * cell - half)
-        row = np.where(reach <= half, cy * C + cx, C * C)
-        vote = weight * mag * np.exp(-0.5 * (dcx * dcx + dcy * dcy) / var)
-        votes[(row * n + index).astype(np.intp)] += vote
-    votes = votes.reshape(C * C + 1, n)[: C * C]
+    rows, gauss = [], []
+    for j in range(sides.shape[-1]):
+        half, cell, var = halves[..., j], cells[..., j], variances[..., j]
+        c = np.minimum(np.floor((e + half) / cell), C - 1)
+        d = e - ((c + 0.5) * cell - half)
+        rows.append(np.where(reach <= half, c[1] * C + c[0], C * C))
+        gauss.append(np.exp(-0.5 * (d[0] * d[0] + d[1] * d[1]) / var))
+
+    # each pool's votes over its own pixels, one row of pixel weights per
+    # cell; bincount sums each entry's votes from 0.0 in side order
+    votes = []
+    for keep, top, weights, columns in pools:
+        # a lone pool reads every gathered pixel; compress keeps a matrix
+        # C-ordered, where a fancy-indexed [:, mask] is F-ordered and its
+        # products round differently
+        mask = None if len(pools) == 1 else keep[owner] & (reach <= spread(top / 2.0))
+        take = (lambda a: a) if mask is None or mask.all() else (lambda a, mask=mask: a.compress(mask, axis=-1))
+        own, m = take(owner), take(mag)
+        weights, n = spread(weights, own), m.size
+        slots, weighted = np.empty((len(columns), n), dtype=np.intp), np.empty((len(columns), n))
+        for j, column in enumerate(columns):
+            slots[j] = take(rows[column]) * n + np.arange(n)
+            weighted[j] = weights[..., j] * m * take(gauss[column])
+        flat = np.bincount(slots.ravel(), weighted.ravel(), (C * C + 1) * n)
+        votes.append((keep, take, flat.reshape(C * C + 1, n)[: C * C], np.bincount(own, minlength=counts.size)[keep]))
 
     # the kernel depends on a pixel's orientation relative to its keypoint
-    # alone: evaluate it once per distinct value in the chunk, and give
-    # each keypoint the product over its own columns, in its own pixel
-    # order, so that it sums exactly as for that keypoint alone
+    # alone; each keypoint takes the product over its own columns, in its
+    # own pixel order, so that it sums exactly as for that keypoint alone
     kernel = cfg.kernel()
-    rel = wrap_angle(orientation[pix] - per_pixel(theta))
+    if table is None or counts.size == 1:
+        rel = wrap_angle(field.orientation.reshape(-1)[pix] - spread(theta))
     if counts.size == 1:
         # the same product, on soft_vote for a test, not for speed: the
         # benchmark's tracer test wants a call per one-keypoint descriptor
-        return soft_vote(rel, votes, kernel, cfg.bins).reshape(1, -1)
-    distinct, column = np.unique(rel, return_inverse=True)
-    # take keeps it C-ordered; a fancy-indexed [:, column] is F-ordered,
-    # and its products round differently
-    columns = vote_kernel(distinct, kernel, cfg.bins).take(column, axis=1)
-    bounds = [0, *np.cumsum(counts).tolist()]
-    return np.stack([(columns[:, a:b] @ votes[:, a:b].T).T.ravel() for a, b in zip(bounds, bounds[1:])])
+        return [soft_vote(take(rel), pool, kernel, cfg.bins).reshape(1, -1)[keep] for keep, take, pool, _ in votes]
+    # take keeps it C-ordered, as compress does; without a table, pixels
+    # hardly share a relative orientation (own layers or orientations)
+    columns = vote_kernel(rel, kernel, cfg.bins) if table is None else table[1].take(table[0][pix], axis=1)
+    out = []
+    for _, take, pool, pool_counts in votes:
+        pool_columns = take(columns)
+        bounds = [0, *np.cumsum(pool_counts).tolist()]
+        grids = [(pool_columns[:, a:b] @ pool[:, a:b].T).T.ravel() for a, b in zip(bounds, bounds[1:])]
+        out.append(np.array(grids).reshape(-1, cfg.length))
+    return out
 
 
 def accumulate_grid(

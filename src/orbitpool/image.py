@@ -274,7 +274,9 @@ def gradient_field_of_array(values):
     du[..., :, 1:-1] = 0.5 * (sm[..., :, 2:] - sm[..., :, :-2])
     dv[..., 1:-1, :] = 0.5 * (sm[..., 2:, :] - sm[..., :-2, :])
     mag = np.hypot(du, dv)
-    ori = np.mod(np.arctan2(dv, du), 2.0 * np.pi)
+    # np.mod(., 2*pi) to the bit on arctan2's range [-pi, pi], -0.0 included
+    ori = np.arctan2(dv, du)
+    ori += (ori < 0) * (2.0 * np.pi)
     valid = mag >= MAG_EPSILON
     valid[..., 0, :] = valid[..., -1, :] = False
     valid[..., :, 0] = valid[..., :, -1] = False

@@ -78,10 +78,10 @@ class CircularKernel:
             raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
 
     def __call__(self, delta):
-        delta = np.asarray(delta, dtype=float)
         # wrap into [-pi, pi] first so every branch is as close to its
         # Gaussian center as possible
-        delta = wrap_angle(delta + np.pi) - np.pi
+        delta = wrap_angle(np.asarray(delta, dtype=float) + np.pi)
+        delta -= np.pi
         inv = 1.0 / self.bandwidth
         norm = inv / math.sqrt(2.0 * np.pi)
         # The branches are summed from k = -2 up, starting from the first
@@ -89,14 +89,19 @@ class CircularKernel:
         # On [-pi, pi] branch k = +-2 is at most exp(-4 pi^2 / bandwidth^2)
         # times branch k = +-1, below 2**-54 when the bandwidth is at most
         # pi / sqrt(10): added first or last it then rounds away, and is
-        # skipped.
+        # skipped.  Branches are worked out in place, in the same operations.
         turns = (-1, 0, 1) if self.bandwidth <= _NARROW_BANDWIDTH else (-2, -1, 0, 1, 2)
-        total = None
+        total, z, branch = np.empty_like(delta), np.empty_like(delta), np.empty_like(delta)
         for k in turns:
-            z = delta * inv if k == 0 else (delta + TWO_PI * k) * inv
-            branch = np.exp(-0.5 * z * z)
-            total = branch if total is None else total + branch
-        return total * norm
+            np.multiply(np.add(delta, TWO_PI * k, out=z) if k else delta, inv, out=z)
+            out = total if k == turns[0] else branch
+            np.multiply(-0.5, z, out=out)
+            out *= z
+            np.exp(out, out=out)
+            if out is branch:
+                total += branch
+        total *= norm
+        return total
 
 
 @dataclass(frozen=True)

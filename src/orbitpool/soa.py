@@ -318,9 +318,11 @@ def soa_likelihood(template: TemplateModel, query: Descriptor) -> SOAResult:
     Ties resolve to the smallest index; the full score list is returned
     for inspection.
     """
-    scores = tuple(
-        anti_aliased_score(template, i, query) for i in range(1, len(template) + 1)
-    )
+    rows = np.array([d.values for d in template.descriptors])
+    if rows.shape[1] != query.values.size:
+        raise ValueError(f"descriptor lengths differ: {rows.shape[1]} vs {query.values.size}")
+    # each row sums as in anti_aliased_score, to the bit
+    scores = tuple(np.sqrt(rows * query.values).sum(axis=1).tolist())
     best = max(scores)
     return SOAResult(best, scores.index(best) + 1, scores)
 

@@ -490,8 +490,10 @@ class TestWorkCounts:
                 want_scatters += len(sides)
 
         # scatter_windows(img, centers, sides, bank): one call per image,
-        # listing each (keypoint, side) window once
+        # listing each (keypoint, side) window once; accumulate_pools(field,
+        # kps, pools, cfg): one call per image for both histogram kinds
         calls = {"compute_gradients": 0, "scatter_windows": 0, "windows": 0, "distinct": 0, "support_errors": 0}
+        calls.update(accumulate_pools=0, pools=0)
 
         def counted(name, fn):
             def wrapper(*a, **k):
@@ -499,6 +501,8 @@ class TestWorkCounts:
                 if name == "scatter_windows":
                     calls["windows"] += len(a[2])
                     calls["distinct"] += len(set(zip(a[1], a[2])))
+                if name == "accumulate_pools":
+                    calls["pools"] += len(a[2])
                 try:
                     return fn(*a, **k)
                 except SupportError:
@@ -506,12 +510,14 @@ class TestWorkCounts:
                     raise
             return wrapper
 
-        for name in ("compute_gradients", "scatter_windows"):
+        for name in ("compute_gradients", "scatter_windows", "accumulate_pools"):
             monkeypatch.setattr(bench, name, counted(name, getattr(bench, name)))
         report = evaluate([pair], KINDS, mcfg)
         assert len(report.records) == len(KINDS) * len(THRESHOLDS)
         assert calls == {
             "compute_gradients": 2,
+            "accumulate_pools": 2,
+            "pools": 2 * len(bench.HISTOGRAM_KINDS),
             "scatter_windows": 2,
             "windows": want_scatters,
             "distinct": want_scatters,

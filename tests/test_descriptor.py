@@ -19,6 +19,7 @@ from orbitpool.descriptor import (
     SizePrior,
     accumulate_grid,
     accumulate_grids,
+    accumulate_pools,
     descriptor_distance,
     dog_keypoints,
     dsp_descriptor,
@@ -618,6 +619,83 @@ class TestAccumulateGrids:
             npt.assert_array_equal(bits(row), bits(d.values))
             assert flag == d.degenerate
         assert degenerate.tolist() == [False, False, True, False, False]
+
+
+SIZE_PRIORS = st.sampled_from(
+    [
+        SizePrior.delta(),  # sift's one window
+        SizePrior.default(),  # dsp-sift's five, 1.0 among them
+        SizePrior.uniform((0.8, 1.2)),  # no 1.0
+        SizePrior.uniform((0.5, 0.8)),  # every window inside sift's
+        SizePrior.uniform((1.0, 1.6)),
+        SizePrior(((0.7, 0.0), (1.0, 1.0), (1.4, 0.0))),  # zero-weight sizes still set the window
+    ]
+)
+
+
+def pools_of(priors, kps, cfg, weights=None):
+    """The (sides, weights) pool of each prior; the first takes ``weights``, one row per keypoint, if given."""
+    bases = [kp.base_size for kp in kps]
+    pools = [(prior.sides(bases, cfg.support_factor), prior.weights) for prior in priors]
+    if weights is not None:
+        pools[0] = (pools[0][0], weights)
+    return pools
+
+
+class TestAccumulatePools:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        keypoint_sets(),
+        st.lists(SIZE_PRIORS, min_size=1, max_size=3),
+        st.sampled_from(["half-flat", "flat", "layered"]),
+        st.booleans(),
+    )
+    def test_one_pass_equals_each_pool_alone(self, seed, kps, priors, name, own_weights):
+        # mixed base sizes, shared and own orientations and windows that
+        # one pool keeps and another drops at the border, over a field
+        # with flat windows, a flat field whose chunks hold no valid pixel,
+        # and a layered field
+        cfg = DescriptorConfig()
+        rng = np.random.default_rng(seed)
+        stack = rng.uniform(size=(len(kps), SIDE, SIDE))
+        if name == "layered":
+            field = gradient_field_of_array(stack)
+            layers = [gradient_field_of_array(layer) for layer in stack]
+        else:
+            flat = ImageBuffer(np.full((SIDE, SIDE), 0.5))
+            field = half_flat_field(seed) if name == "half-flat" else compute_gradients(flat)
+            layers = [field] * len(kps)
+        own = rng.uniform(0.01, 4.0, size=(len(kps), len(priors[0].weights))) if own_weights else None
+        pools = pools_of(priors, kps, cfg, own)
+        got = accumulate_pools(field, kps, pools, cfg)
+        assert len(got) == len(pools)
+        for (kept, raw), (sides, weights) in zip(got, pools):
+            rows = np.broadcast_to(weights, (len(kps), np.shape(weights)[-1]))
+            want = [reference_grid(layers[k], kp, sides[k], rows[k], cfg) for k, kp in enumerate(kps)]
+            assert kept == [k for k, grid in enumerate(want) if grid is not None]
+            npt.assert_array_equal(bits(raw), bits([want[k] for k in kept]).reshape(-1, cfg.length))
+            alone_kept, alone = accumulate_grids(field, kps, sides, weights, cfg)
+            assert alone_kept == kept
+            npt.assert_array_equal(bits(alone), bits(raw))
+
+    def test_each_pool_keeps_its_own_keypoints(self):
+        # side 6 (sift) fits at u = 3 where dsp-sift's 7.8 does not, and
+        # 4.8 (a prior below 1.0) at u = 2.5 where sift's does not; the
+        # gathered window is the largest one that fits
+        cfg = DescriptorConfig()
+        f = half_flat_field(5)
+        kps = [Keypoint(u, v, 2.0) for v in (12.0, 20.5) for u in (3.0, 2.5, 2.0, 4.0, 16.0, 27.6, 28.0, 28.5)]
+        priors = (SizePrior.delta(), SizePrior.default(), SizePrior.uniform((0.5, 0.8)))
+        pools = pools_of(priors, kps, cfg)
+        got = accumulate_pools(f, kps, pools, cfg)
+        sift, dsp, small = (set(kept) for kept, _ in got)
+        assert dsp < sift < small
+        assert len(small) > GRID_CHUNK
+        for (kept, raw), (sides, weights) in zip(got, pools):
+            alone_kept, alone = accumulate_grids(f, kps, sides, weights, cfg)
+            assert alone_kept == kept
+            npt.assert_array_equal(bits(alone), bits(raw))
 
 
 class TestRotationCanonization:

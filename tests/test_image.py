@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from orbitpool.image import (
     _SNAP_EPS,
+    PRE_SIGMA,
     AffineContrast,
     GammaContrast,
     ImageBuffer,
@@ -206,6 +207,36 @@ class TestComputeGradients:
             alone = gradient_field_of_array(layer)
             for name in ("magnitude", "orientation", "valid"):
                 assert getattr(field, name)[k].tobytes() == getattr(alone, name).tobytes()
+
+    @pytest.mark.parametrize("name", ["flat", "signed-zero", "ramps", "noise", "stack"])
+    def test_orientation_is_np_mod_of_arctan2(self, name):
+        # np.mod(arctan2(dv, du), 2*pi) to the bit: flat pixels (du = dv =
+        # 0), signed zeros, axis-aligned slopes (arctan2 at 0 and pi) and
+        # unclipped values
+        rng = np.random.default_rng(13)
+        if name == "flat":
+            values = np.full((12, 12), 0.5)
+        elif name == "signed-zero":
+            # the blur keeps -0.0 only where its whole window is -0.0, so
+            # one +0.0 pixel gives du and dv of either zero, and arctan2
+            # gives -0.0, pi and -pi
+            values = np.full((15, 15), -0.0)
+            values[7, 7] = 0.0
+        elif name == "ramps":
+            values = np.stack([textures.ramp(16, 16, angle=np.pi * k / 4).values for k in range(8)])
+        elif name == "noise":
+            values = rng.uniform(-0.5, 1.5, size=(20, 23))
+        else:
+            values = np.stack([np.full((9, 9), -0.0), rng.uniform(size=(9, 9)), np.tile(-np.arange(9.0), (9, 1))])
+        sm = blur_array(values, PRE_SIGMA)
+        du, dv = np.zeros_like(sm), np.zeros_like(sm)
+        du[..., :, 1:-1] = 0.5 * (sm[..., :, 2:] - sm[..., :, :-2])
+        dv[..., 1:-1, :] = 0.5 * (sm[..., 2:, :] - sm[..., :-2, :])
+        raw = np.arctan2(dv, du)
+        if name == "signed-zero":
+            assert (np.signbit(raw) & (raw == 0)).any() and (raw == -np.pi).any() and (raw == np.pi).any()
+        want = np.mod(raw, 2.0 * np.pi)
+        assert gradient_field_of_array(values).orientation.tobytes() == want.tobytes()
 
     def test_stack_too_small_names_layer_size(self):
         with pytest.raises(ValueError, match="image too small for gradients: 5x2"):

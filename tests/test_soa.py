@@ -458,6 +458,21 @@ class TestSOALikelihood:
                 wins += 1
         assert wins / trials >= 0.95
 
+    def test_scores_are_the_per_sample_scores(self):
+        # bit for bit anti_aliased_score of each sample; ties go to the first
+        img = textures.filtered_noise(64, 64, seed=11)
+        t = build_template(img, CENTER_KP, GroupSampleSet.rotation_group(4))
+        t = TemplateModel("t", t.descriptors + t.descriptors[1:2])
+        for query in (fixed_frame_descriptor(img), t.descriptors[1]):
+            r = soa_likelihood(t, query)
+            assert r.per_sample_scores == tuple(anti_aliased_score(t, i, query) for i in range(1, len(t) + 1))
+            assert r.value == max(r.per_sample_scores)
+            assert r.argmax_index == r.per_sample_scores.index(r.value) + 1
+        assert soa_likelihood(t, t.descriptors[1]).argmax_index == 2
+        short = Descriptor(np.full(8, 0.125), 1, 8, CENTER_KP)
+        with pytest.raises(ValueError, match="descriptor lengths differ: 128 vs 8"):
+            soa_likelihood(t, short)
+
     def test_deterministic(self):
         img = textures.filtered_noise(64, 64, seed=9)
         t = build_template(img, CENTER_KP, GroupSampleSet.rotation_group(4))
