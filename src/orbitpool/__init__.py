@@ -4,150 +4,56 @@ The package builds contrast-invariant orientation statistics, SIFT-like
 grid descriptors with domain-size pooling, a Gabor scattering transform
 (plain and size-pooled), and templates scored by the max over a sampled
 set of planar-similarity warps. A synthetic benchmark harness and a small
-CLI tie the pieces together.
+CLI tie the pieces together. The top level exports what the demos and the
+README quick start use, and the error classes; everything else is
+imported from its own module.
 """
 
 from .image import (
     AffineContrast,
-    ContrastMap,
     GammaContrast,
-    GradientField,
-    ImageBuffer,
     ImageDataError,
     ImageFormatError,
     SimilarityTransform,
     SupportError,
     apply_contrast,
     compute_gradients,
-    extract_patch,
-    gaussian_blur,
-    load_image,
-    save_pgm,
     warp,
 )
-from .orientation import (
-    CircularKernel,
-    OrientationHistogram,
-    SpatialKernel,
-    bin_centers,
-    normalize,
-    pooled_histogram,
-    soft_vote,
-)
+from .orientation import CircularKernel, SpatialKernel, normalize, pooled_histogram
 from .descriptor import (
-    Descriptor,
-    DescriptorConfig,
     Keypoint,
     SizePrior,
     descriptor_distance,
-    dog_keypoints,
     dsp_descriptor,
-    grid_keypoints,
     single_size_descriptor,
 )
-from .scattering import (
-    FilterBank,
-    ScatteringVector,
-    build_filter_bank,
-    dsp_scatter,
-    scatter,
-)
-from .soa import (
-    GroupSampleSet,
-    SOAResult,
-    TemplateModel,
-    anti_aliased_score,
-    build_template,
-    delta_perturbation,
-    load_template,
-    perturbation_grid,
-    save_template,
-    soa_likelihood,
-)
-from .bench import (
-    KINDS,
-    THRESHOLDS,
-    EvalRecord,
-    EvalReport,
-    MatchConfig,
-    MatchRecord,
-    PairMatches,
-    SynthSpec,
-    SyntheticPair,
-    describe,
-    directional_benchmark,
-    evaluate,
-    load_pair,
-    make_pair,
-    match_pair,
-    save_pair,
-    synth_pairs,
-)
+from .scattering import build_filter_bank, scatter
+from .soa import GroupSampleSet, build_template, soa_likelihood
 
 __all__ = [
     "AffineContrast",
     "CircularKernel",
-    "ContrastMap",
-    "Descriptor",
-    "DescriptorConfig",
-    "EvalRecord",
-    "EvalReport",
-    "FilterBank",
     "GammaContrast",
-    "GradientField",
     "GroupSampleSet",
-    "ImageBuffer",
     "ImageDataError",
     "ImageFormatError",
-    "KINDS",
     "Keypoint",
-    "MatchConfig",
-    "MatchRecord",
-    "OrientationHistogram",
-    "PairMatches",
-    "SOAResult",
-    "ScatteringVector",
     "SimilarityTransform",
     "SizePrior",
     "SpatialKernel",
     "SupportError",
-    "SynthSpec",
-    "SyntheticPair",
-    "THRESHOLDS",
-    "TemplateModel",
-    "anti_aliased_score",
     "apply_contrast",
-    "bin_centers",
     "build_filter_bank",
     "build_template",
     "compute_gradients",
-    "delta_perturbation",
-    "describe",
     "descriptor_distance",
-    "directional_benchmark",
-    "dog_keypoints",
     "dsp_descriptor",
-    "dsp_scatter",
-    "evaluate",
-    "extract_patch",
-    "gaussian_blur",
-    "grid_keypoints",
-    "load_image",
-    "load_pair",
-    "load_template",
-    "make_pair",
-    "match_pair",
     "normalize",
-    "perturbation_grid",
     "pooled_histogram",
-    "save_pair",
-    "save_pgm",
-    "save_template",
     "scatter",
     "single_size_descriptor",
     "soa_likelihood",
-    "soft_vote",
-    "synth_pairs",
     "warp",
 ]
 

@@ -13,9 +13,9 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, TextIO, Tuple
+from typing import ClassVar, Dict, List, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -221,9 +221,16 @@ def _contrast_meta(cmap):
     raise ValueError(f"cannot serialize contrast map {type(cmap).__name__}")
 
 
+def _field(meta, key):
+    """The value under ``key`` of meta.json; a missing one raises ValueError naming it."""
+    if key not in meta:
+        raise ValueError(f"meta.json field {key!r} is missing")
+    return meta[key]
+
+
 def _number(meta, key):
     """The number under ``key`` of meta.json; a bool, or one not finite as a float, raises ValueError."""
-    value = meta[key]
+    value = _field(meta, key)
     if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
         raise ValueError(f"meta.json field {key!r} must be a finite number, got {value!r}")
     return value
@@ -232,11 +239,12 @@ def _number(meta, key):
 def _contrast_from_meta(meta):
     if meta is None:
         return None
-    if meta["kind"] == "gamma":
+    kind = _field(meta, "kind")
+    if kind == "gamma":
         return GammaContrast(_number(meta, "gamma"))
-    if meta["kind"] == "affine":
+    if kind == "affine":
         return AffineContrast(_number(meta, "gain"), _number(meta, "offset"))
-    raise ValueError(f"unknown contrast kind {meta['kind']!r}")
+    raise ValueError(f"unknown contrast kind {kind!r}")
 
 
 def load_pair(dirpath) -> SyntheticPair:
@@ -274,27 +282,27 @@ def load_pair(dirpath) -> SyntheticPair:
 
 @dataclass(frozen=True)
 class MatchConfig:
-    """Knobs for benchmark matching.
+    """Benchmark matching: a settable ratio threshold and filter bank, and constants.
 
-    Keypoints form a lattice on the reference; the candidate pool in the
-    transformed view sits at their ground-truth projections with the same
-    nominal base size, so descriptor quality alone decides the match and
-    the unknown scale stays a nuisance for the descriptor to absorb.
+    Keypoints form a lattice of ``stride`` and ``base_size`` on the
+    reference; the candidate pool in the transformed view sits at their
+    ground-truth projections with the same nominal base size, so
+    descriptor quality alone decides the match and the unknown scale stays
+    a nuisance for the descriptor to absorb.  A match is correct within
+    ``radius`` pixels.
     """
 
-    stride: int = 12
-    base_size: float = 6.0
     ratio: float = 0.8
-    radius: float = 3.0
-    prior: SizePrior = field(default_factory=SizePrior.default)
-    descriptor: DescriptorConfig = field(default_factory=DescriptorConfig)
     bank: Optional[FilterBank] = None
+    stride: ClassVar[int] = 12
+    base_size: ClassVar[float] = 6.0
+    radius: ClassVar[float] = 3.0
+    prior: ClassVar[SizePrior] = SizePrior.default()
+    descriptor: ClassVar[DescriptorConfig] = DescriptorConfig()
 
     def __post_init__(self):
         if not 0 < self.ratio <= 1:
             raise ValueError(f"ratio must be in (0, 1], got {self.ratio}")
-        if not (math.isfinite(self.radius) and self.radius > 0):
-            raise ValueError(f"radius must be finite and positive, got {self.radius}")
 
     def scattering_bank(self) -> FilterBank:
         return self.bank if self.bank is not None else _shared_bank()

@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, TextIO, Tuple, Union
+from typing import ClassVar, Dict, Iterable, List, Mapping, Sequence, TextIO, Tuple, Union
 
 import numpy as np
 from scipy import ndimage
@@ -35,7 +35,6 @@ __all__ = [
     "window_box",
     "window_inside",
     "accumulate_grid",
-    "accumulate_grids",
     "accumulate_pools",
     "normalize_grid",
     "normalize_grids",
@@ -130,36 +129,35 @@ class SizePrior:
 
 @dataclass(frozen=True)
 class DescriptorConfig:
-    """Grid geometry and kernel parameters for descriptor extraction.
+    """Grid geometry for descriptor extraction: C x C cells of B orientation bins.
 
-    ``bandwidth`` defaults to one orientation bin width; ``kappa_fraction``
-    sets the per-cell Gaussian weight scale as a fraction of the cell side;
-    ``support_factor`` converts a keypoint's base_size into a window side.
+    The kernel's ``bandwidth`` is one bin width.  The constant
+    ``kappa_fraction`` sets the per-cell Gaussian weight scale as a
+    fraction of the cell side; ``support_factor`` converts a keypoint's
+    base_size into a window side.
     """
 
     cells: int = 4
     bins: int = 8
-    bandwidth: Optional[float] = None
-    kappa_fraction: float = 0.5
-    support_factor: float = 3.0
+    kappa_fraction: ClassVar[float] = 0.5
+    support_factor: ClassVar[float] = 3.0
 
     def __post_init__(self):
         if self.cells < 1:
             raise ValueError("cells must be >= 1")
         if self.bins < 4:
             raise ValueError("bins must be >= 4")
-        if self.bandwidth is not None and not self.bandwidth > 0:
-            raise ValueError("bandwidth must be positive")
-        if not self.kappa_fraction > 0 or not self.support_factor > 0:
-            raise ValueError("kappa_fraction and support_factor must be positive")
 
     @property
     def length(self) -> int:
         return self.cells * self.cells * self.bins
 
+    @property
+    def bandwidth(self) -> float:
+        return 2.0 * np.pi / self.bins
+
     def kernel(self) -> CircularKernel:
-        eps = self.bandwidth if self.bandwidth is not None else 2.0 * np.pi / self.bins
-        return CircularKernel(eps)
+        return CircularKernel(self.bandwidth)
 
 
 @dataclass(frozen=True)
@@ -312,39 +310,25 @@ def window_inside(kp: Keypoint, size: float, shape: Tuple[int, int]) -> bool:
 GRID_CHUNK = 8
 
 
-def accumulate_grids(
-    field: GradientField,
-    kps: Sequence[Keypoint],
-    sides: Sequence[Sequence[float]],
-    weights: Union[Sequence[float], Sequence[Sequence[float]]],
-    cfg: DescriptorConfig,
-) -> Tuple[List[int], np.ndarray]:
-    """Un-normalized C x C x B grids of many keypoints, each summed over its windows.
-
-    ``sides`` holds one row of window sides per keypoint, and ``weights``
-    one weight per column, or one row per keypoint.  A valid pixel inside
-    a window, a square of its side in the keypoint's rotated frame cut
-    into C x C cells, adds weight * magnitude * (Gaussian weight about its
-    cell's centre) to that cell, soft-voted over the orientation bins.  A
-    ``(V, h, w)`` field holds one layer per keypoint.  Returns the indices
-    of the keypoints whose largest window lies inside the image, and their
-    flat grids; this is the one-pool case of ``accumulate_pools``.
-    """
-    return accumulate_pools(field, kps, [(sides, weights)], cfg)[0]
-
-
 def accumulate_pools(
     field: GradientField,
     kps: Sequence[Keypoint],
     pools: Sequence[Tuple[Sequence[Sequence[float]], Union[Sequence[float], Sequence[Sequence[float]]]]],
     cfg: DescriptorConfig,
 ) -> List[Tuple[List[int], np.ndarray]]:
-    """``accumulate_grids`` of each ``(sides, weights)`` pool of the same keypoints, in one pass.
+    """Un-normalized C x C x B grids of many keypoints, for each pool, in one pass.
 
-    A pool keeps the keypoints whose largest window of its own lies inside
-    the image.  A keypoint is gathered once, at the largest side among the
-    pools that keep it; a pool with a smaller window reads the pixels inside
-    it, in the same order.  Keypoints are taken ``GRID_CHUNK`` at a time.
+    A pool holds a row of window sides per keypoint, and a weight per
+    column or a row of them per keypoint.  A valid pixel inside a window,
+    a square of its side in the keypoint's rotated frame cut into C x C
+    cells, adds weight * magnitude * (Gaussian weight about its cell's
+    centre) to that cell, soft-voted over the orientation bins.  A
+    ``(V, h, w)`` field holds one layer per keypoint.  Returns, per pool,
+    the indices of the keypoints whose largest window of that pool lies
+    inside the image, and their flat grids.  A keypoint is gathered once,
+    at the largest side among the pools that keep it; a pool with a
+    smaller window reads the pixels inside it, in the same order.
+    Keypoints are taken ``GRID_CHUNK`` at a time.
     Cells and Gaussian weights are worked out once per side column, shared
     by the pools holding it bit for bit, and the orientation kernel once
     per pixel of a chunk, or, when the keypoints share one orientation on
@@ -517,19 +501,19 @@ def accumulate_grid(
     weights: Sequence[float],
     cfg: DescriptorConfig,
 ) -> np.ndarray:
-    """The grid of ``accumulate_grids`` for one keypoint.
+    """The grid of ``accumulate_pools`` for one keypoint and one pool.
 
     This is the one support check of every descriptor: when the largest
     window leaves the image, one SupportError lists each side that does.
     """
-    kept, grids = accumulate_grids(field, [kp], [sides], weights, cfg)
+    kept, grids = accumulate_pools(field, [kp], [([sides], weights)], cfg)[0]
     if not kept:
         raise _support_error(kp, sides, field.magnitude.shape)
     return grids[0]
 
 
 def _support_error(kp: Keypoint, sides: Sequence[float], shape: Tuple[int, int]) -> SupportError:
-    """The error for a keypoint that ``accumulate_grids`` drops from an image of ``shape``."""
+    """The error for a keypoint that ``accumulate_pools`` drops from an image of ``shape``."""
     bad = ", ".join(f"{side:.2f}" for side in sides if not window_inside(kp, side, shape))
     h, w = shape
     return SupportError(

@@ -476,7 +476,7 @@ def _read_pgm(path):
 def _read_png(path):
     try:
         from PIL import Image, UnidentifiedImageError
-    except ImportError as exc:  # pragma: no cover
+    except ImportError as exc:
         raise ImageFormatError("PNG support requires Pillow") from exc
     try:
         with Image.open(path) as im:

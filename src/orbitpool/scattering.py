@@ -327,7 +327,7 @@ def dsp_scatter(img: ImageBuffer, kp: Keypoint, prior: SizePrior, bank: FilterBa
     """Average scattering vectors over the size prior.
 
     Each prior sample selects a window of side multiplier * base_size *
-    support_factor around the keypoint, with the default
+    support_factor around the keypoint, with the constant
     ``DescriptorConfig.support_factor``; windows are resampled to
     ``SAMPLE_SIDE`` px and scattered by ``scatter_windows`` so coefficient
     vectors share an index set, then pooled coefficient-wise with the

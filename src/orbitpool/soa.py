@@ -28,7 +28,7 @@ from .descriptor import (
     DescriptorConfig,
     Keypoint,
     _support_error,
-    accumulate_grids,
+    accumulate_pools,
     normalize_grid,
     read_rows,
     window_box,
@@ -201,7 +201,7 @@ def _view_grids(img: ImageBuffer, views, size: float, cfg: DescriptorConfig):
     except ValueError as exc:
         return out, [exc if e is None else e for e in errors]
     shifted = [_shifted(m, box) for m, box in zip(moved, boxes)]
-    kept, grids = accumulate_grids(field, shifted, [[size]] * len(views), np.array(weights)[:, None], cfg)
+    kept, grids = accumulate_pools(field, shifted, [([[size]] * len(views), np.array(weights)[:, None])], cfg)[0]
     out[kept] = grids
     for k, kp in enumerate(shifted):
         if errors[k] is None and k not in kept:
@@ -236,7 +236,7 @@ def build_template(
 
     The views are planned first, then grouped by box shape and taken
     ``GRID_CHUNK`` at a time: one ``warp_boxes`` call, one gradient pass
-    over the chunk's stack and one ``accumulate_grids`` call in which
+    over the chunk's stack and one ``accumulate_pools`` call in which
     view k reads layer k.  Every layer, and every view's grid, is bit for
     bit that of the view alone, and only one chunk's layers are alive at
     a time.  If a view fails, the error raised is the first failing

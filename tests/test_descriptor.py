@@ -18,7 +18,6 @@ from orbitpool.descriptor import (
     GRID_CHUNK,
     SizePrior,
     accumulate_grid,
-    accumulate_grids,
     accumulate_pools,
     descriptor_distance,
     dog_keypoints,
@@ -496,7 +495,7 @@ class TestAccumulateGrids:
         cfg = DescriptorConfig()
         f = half_flat_field(seed)
         sides = prior.sides([kp.base_size for kp in kps], cfg.support_factor)
-        kept, raw = accumulate_grids(f, kps, sides, prior.weights, cfg)
+        kept, raw = accumulate_pools(f, kps, [(sides, prior.weights)], cfg)[0]
         rows, degenerate = normalize_grids(raw, cfg)
 
         want = [reference_grid(f, kp, sides[i], prior.weights, cfg) for i, kp in enumerate(kps)]
@@ -523,7 +522,8 @@ class TestAccumulateGrids:
         sides = [[0.8 * cfg.support_factor * kp.base_size, cfg.support_factor * kp.base_size] for kp in kps]
         weight = st.floats(0.01, 4.0)
         weights = data.draw(st.lists(st.tuples(weight, weight), min_size=len(kps), max_size=len(kps)))
-        kept, raw = accumulate_grids(gradient_field_of_array(stack), kps, sides, np.reshape(weights, (-1, 2)), cfg)
+        pools = [(sides, np.reshape(weights, (-1, 2)))]
+        kept, raw = accumulate_pools(gradient_field_of_array(stack), kps, pools, cfg)[0]
         want = [
             reference_grid(gradient_field_of_array(stack[k]), kp, sides[k], weights[k], cfg) for k, kp in enumerate(kps)
         ]
@@ -540,7 +540,7 @@ class TestAccumulateGrids:
         kps = lattice_with(LATTICE_ORIENTATIONS[orientation])
         prior = SizePrior.default()
         sides = prior.sides([kp.base_size for kp in kps], cfg.support_factor)
-        kept, raw = accumulate_grids(f, kps, sides, prior.weights, cfg)
+        kept, raw = accumulate_pools(f, kps, [(sides, prior.weights)], cfg)[0]
         want = [reference_grid(f, kp, sides[i], prior.weights, cfg) for i, kp in enumerate(kps)]
         assert kept == [i for i, grid in enumerate(want) if grid is not None]
         assert len(kept) > GRID_CHUNK
@@ -554,7 +554,7 @@ class TestAccumulateGrids:
         layers = [few_orientation_values(FEW_ORIENTATION_FIELDS[k % 4]) for k in range(len(kps))]
         sides = [[0.8 * cfg.support_factor * kp.base_size, cfg.support_factor * kp.base_size] for kp in kps]
         weights = (0.25, 0.75)
-        kept, raw = accumulate_grids(gradient_field_of_array(np.stack(layers)), kps, sides, weights, cfg)
+        kept, raw = accumulate_pools(gradient_field_of_array(np.stack(layers)), kps, [(sides, weights)], cfg)[0]
         want = [
             reference_grid(gradient_field_of_array(layers[k]), kp, sides[k], weights, cfg) for k, kp in enumerate(kps)
         ]
@@ -567,22 +567,22 @@ class TestAccumulateGrids:
         field = gradient_field_of_array(np.random.default_rng(1).uniform(size=(3, SIDE, SIDE)))
         kps = [Keypoint(16.0, 16.0, 2.0)] * 2
         with pytest.raises(ValueError, match="3 field layers for 2 keypoints"):
-            accumulate_grids(field, kps, [[6.0]] * 2, (1.0,), cfg)
+            accumulate_pools(field, kps, [([[6.0]] * 2, (1.0,))], cfg)[0]
         with pytest.raises(ValueError, match="3 rows of weights for 2 keypoints"):
-            accumulate_grids(half_flat_field(0), kps, [[6.0]] * 2, [[1.0]] * 3, cfg)
+            accumulate_pools(half_flat_field(0), kps, [([[6.0]] * 2, [[1.0]] * 3)], cfg)[0]
 
     def test_no_keypoints(self):
         f = half_flat_field(0)
-        kept, raw = accumulate_grids(f, [], np.zeros((0, 2)), (0.5, 0.5), DescriptorConfig())
+        kept, raw = accumulate_pools(f, [], [(np.zeros((0, 2)), (0.5, 0.5))], DescriptorConfig())[0]
         assert kept == [] and raw.shape == (0, 128)
 
     def test_sides_must_match_keypoints_and_weights(self):
         f = half_flat_field(0)
         kps = [Keypoint(16.0, 16.0, 2.0)] * 2
         with pytest.raises(ValueError, match="rows of sides"):
-            accumulate_grids(f, kps, [[6.0, 7.0]], (0.5, 0.5), DescriptorConfig())
+            accumulate_pools(f, kps, [([[6.0, 7.0]], (0.5, 0.5))], DescriptorConfig())[0]
         with pytest.raises(ValueError, match="at least one window side"):
-            accumulate_grids(f, kps, np.zeros((2, 0)), (), DescriptorConfig())
+            accumulate_pools(f, kps, [(np.zeros((2, 0)), ())], DescriptorConfig())[0]
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -605,7 +605,7 @@ class TestAccumulateGrids:
         cfg = DescriptorConfig()
         # side 6: the window spans [u - 3, u + 3], so u = 3 and u = SIDE - 4 touch the border
         kps = [Keypoint(3.0, 3.0, 2.0), Keypoint(SIDE - 4.0, SIDE - 4.0, 2.0), Keypoint(2.5, 16.0, 2.0)]
-        kept, _ = accumulate_grids(f, kps, [[6.0]] * 3, (1.0,), cfg)
+        kept, _ = accumulate_pools(f, kps, [([[6.0]] * 3, (1.0,))], cfg)[0]
         assert kept == [0, 1]
 
     def test_normalize_grids_rows_match_normalize_grid(self):
@@ -675,7 +675,7 @@ class TestAccumulatePools:
             want = [reference_grid(layers[k], kp, sides[k], rows[k], cfg) for k, kp in enumerate(kps)]
             assert kept == [k for k, grid in enumerate(want) if grid is not None]
             npt.assert_array_equal(bits(raw), bits([want[k] for k in kept]).reshape(-1, cfg.length))
-            alone_kept, alone = accumulate_grids(field, kps, sides, weights, cfg)
+            alone_kept, alone = accumulate_pools(field, kps, [(sides, weights)], cfg)[0]
             assert alone_kept == kept
             npt.assert_array_equal(bits(alone), bits(raw))
 
@@ -693,7 +693,7 @@ class TestAccumulatePools:
         assert dsp < sift < small
         assert len(small) > GRID_CHUNK
         for (kept, raw), (sides, weights) in zip(got, pools):
-            alone_kept, alone = accumulate_grids(f, kps, sides, weights, cfg)
+            alone_kept, alone = accumulate_pools(f, kps, [(sides, weights)], cfg)[0]
             assert alone_kept == kept
             npt.assert_array_equal(bits(alone), bits(raw))
 

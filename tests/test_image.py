@@ -1,6 +1,7 @@
 """Image foundation: I/O, smoothing, gradients, warps, contrast maps."""
 
 import math
+import sys
 
 import numpy as np
 import numpy.testing as npt
@@ -30,6 +31,7 @@ from orbitpool.image import (
     warp_boxes,
 )
 from orbitpool import textures
+from orbitpool.cli import main
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +80,16 @@ class TestLoadImage:
         PIL.new("L", (3, 2), 128).save(p)
         img = load_image(p)
         npt.assert_allclose(img.values, 128 / 255)
+
+    def test_png_without_pillow(self, tmp_path, monkeypatch, capsys):
+        # without Pillow every PNG takes this path
+        monkeypatch.setitem(sys.modules, "PIL", None)
+        p = tmp_path / "file.png"
+        p.write_bytes(b"\x89PNG\r\n\x1a\n" + bytes(24))
+        with pytest.raises(ImageFormatError, match="requires Pillow"):
+            load_image(p)
+        assert main(["describe", str(p)]) == 2
+        assert "requires Pillow" in capsys.readouterr().err
 
     def test_pgm_roundtrip(self, tmp_path):
         img = textures.filtered_noise(17, 13, seed=5)

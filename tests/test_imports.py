@@ -1,6 +1,7 @@
-"""Every top-level import in the package and the tests is read somewhere."""
+"""Every top-level import in the package and the tests is read somewhere, and every test module imports."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ FILES = sorted(
     + list((ROOT / "tests").glob("*.py")),
     key=lambda p: p.relative_to(ROOT).as_posix(),
 )
+TEST_MODULES = sorted(ROOT.glob("tests/test_*.py")) + sorted(ROOT.glob("perfbench/test_*.py"))
 
 
 def unused_imports(source):
@@ -42,3 +44,12 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: p.relative_to(ROOT).as_posix())
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", TEST_MODULES, ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_module_imports(path, monkeypatch):
+    # pytest reports a module that fails to import as one collection
+    # error, which --continue-on-collection-errors lets pass; this makes
+    # it a failing test as well
+    monkeypatch.syspath_prepend(str(path.parent))
+    importlib.import_module(path.stem)

@@ -220,13 +220,14 @@ class TestWindowedTemplate:
             npt.assert_array_equal(d.values, values)
 
     def test_window_on_the_border_after_rounding(self):
-        # The window's right edge is 70 + 2**-47, which rounds to 70, the
-        # last column; shifted into its crop the same edge is 44 + 2**-47,
-        # which is exact and so one ulp past the crop.  The view must
-        # still give the whole image's descriptor.
+        # The 40 px window's right edge is 70 + 2**-47, which rounds to
+        # 70, the last column; shifted into its crop the same edge is
+        # 44 + 2**-47, which is exact and so one ulp past the crop.  The
+        # view must still give the whole image's descriptor.
         img = textures.filtered_noise(71, 61, seed=1)
-        kp = Keypoint(50.0 + 2.0**-47, 30.0, 20.0)
-        cfg = DescriptorConfig(support_factor=2.0)
+        kp = Keypoint(50.0 + 2.0**-47, 30.0, 40.0 / 3.0)
+        cfg = DescriptorConfig()
+        assert cfg.support_factor * kp.base_size == 40.0
         samples = GroupSampleSet((SimilarityTransform.identity(),), (delta_perturbation(),))
         got = build_template(img, kp, samples, cfg)
         npt.assert_array_equal(got.descriptors[0].values, whole_image_template(img, kp, samples, cfg)[0])
