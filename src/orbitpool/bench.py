@@ -368,8 +368,8 @@ def describe_kinds(
     ``cfg.support_factor``: the ``POOLED_KINDS`` under ``prior``, the
     others under the delta prior.  The ``HISTOGRAM_KINDS`` share one
     gradient field and one ``accumulate_pools`` pass, one pool per kind,
-    so ``sift``'s window, bit for bit ``dsp-sift``'s at multiplier 1.0,
-    is gathered and weighted once.  The scattering kinds list each
+    which reads each keypoint's pixels and kernel columns once for all
+    of them.  The scattering kinds list each
     (keypoint, window side) once and scatter all of them in one
     ``scatter_windows`` call, pooled by ``pool_vectors`` as in
     ``dsp_scatter``, so ``sc``, whose side is bit for bit ``dsp-sc``'s at
@@ -391,7 +391,7 @@ def describe_kinds(
         pools = [(priors[kind].sides(bases, cfg.support_factor), priors[kind].weights) for kind in histogram]
         for kind, (kept, raw) in zip(histogram, accumulate_pools(compute_gradients(img), keypoints, pools, cfg)):
             rows, degenerate = normalize_grids(raw, cfg)
-            out[kind] = kept, (rows if kept else np.zeros((0, 1))), degenerate
+            out[kind] = kept, rows, degenerate
     scattering = {kind: p for kind, p in priors.items() if kind not in HISTOGRAM_KINDS}
     if scattering:
         out.update(_scattering_rows(img, keypoints, scattering, cfg, bank))
@@ -433,7 +433,8 @@ def _scattering_rows(img, keypoints, priors, cfg, bank) -> Dict[str, Description
             norm = np.linalg.norm(coefficients)
             flags.append(norm <= SCATTER_FLAT_TOL * abs(mean))
             rows.append(np.zeros_like(coefficients) if flags[-1] else coefficients / norm)
-        matrix = np.stack(rows) if rows else np.zeros((0, 1))
+        L = bank.rotations
+        matrix = np.stack(rows) if rows else np.zeros((0, bank.scales * L + len(bank.pairs) * L * L))
         out[kind] = [i for i, _ in kept[kind]], matrix, np.array(flags, dtype=bool)
     return out
 

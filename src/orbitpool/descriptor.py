@@ -264,10 +264,14 @@ def _window_extent(kp: Keypoint, size: float) -> Tuple[float, float, float, floa
     sign and rounding is monotone, so each bound is the corner sum with
     both terms signed alike, to the bit.
     """
+    return _extent(kp.u, kp.v, abs(math.cos(kp.orientation)), abs(math.sin(kp.orientation)), size)
+
+
+def _extent(u, v, c, s, size):
+    """``_window_extent`` from the absolute cosine ``c`` and sine ``s``; numbers or arrays."""
     half = size / 2.0
-    cu = abs(math.cos(kp.orientation)) * half
-    su = abs(math.sin(kp.orientation)) * half
-    return kp.u - cu - su, kp.u + cu + su, kp.v - su - cu, kp.v + su + cu
+    cu, su = c * half, s * half
+    return u - cu - su, u + cu + su, v - su - cu, v + su + cu
 
 
 def _inside(extent: Tuple[float, float, float, float], shape: Tuple[int, int]) -> bool:
@@ -325,15 +329,21 @@ def accumulate_pools(
     centre) to that cell, soft-voted over the orientation bins.  A
     ``(V, h, w)`` field holds one layer per keypoint.  Returns, per pool,
     the indices of the keypoints whose largest window of that pool lies
-    inside the image, and their flat grids.  A keypoint is gathered once,
-    at the largest side among the pools that keep it; a pool with a
-    smaller window reads the pixels inside it, in the same order.
-    Keypoints are taken ``GRID_CHUNK`` at a time.
-    Cells and Gaussian weights are worked out once per side column, shared
-    by the pools holding it bit for bit, and the orientation kernel once
-    per pixel of a chunk, or, when the keypoints share one orientation on
-    an unlayered field, once per pixel for all chunks.  Each grid is the
-    same sum, in the same order, as for its keypoint and pool alone.
+    inside the image, and their flat grids.  Keypoints are taken
+    ``GRID_CHUNK`` at a time, upright ones (orientation 0.0) apart from
+    rotated ones.
+
+    In an upright window a pixel's cell and Gaussian cell weight are a
+    column term times a row term, and ``_upright_grids`` sums them so,
+    over a box set by each pool's largest side; its sums associate
+    differently from the per-pixel ones, by round-off.  On an unlayered
+    field the orientation kernel is then worked out once per pixel for
+    all chunks.  A rotated keypoint is gathered once, at the largest side
+    among the pools that keep it, and its pixels vote one by one: cells
+    and Gaussian weights once per side column, shared by the pools
+    holding it bit for bit, and the kernel once per pixel of a chunk.
+    Either way each grid is the same sum, in the same order, as for its
+    keypoint and pool alone.
     """
     checked = []
     for sides, weights in pools:
@@ -350,21 +360,20 @@ def accumulate_pools(
     if layers and layers != [len(kps)]:
         raise ValueError(f"{layers[0]} field layers for {len(kps)} keypoints")
     largest = np.array([sides.max(axis=1) for sides, _ in checked]).reshape(len(pools), len(kps))
-    keeps, gathered, geometry, boxes = [], [], [], []
-    for k, (kp, row) in enumerate(zip(kps, largest.T.tolist())):
-        extents = {side: _window_extent(kp, side) for side in set(row)}
-        keeps.append([_inside(extents[side], (h, w)) for side in row])
-        if any(keeps[-1]):
-            # the window lies inside the image, so its box needs no clipping
-            side = max(side for side, keep in zip(row, keeps[-1]) if keep)
-            umin, umax, vmin, vmax = extents[side]
-            gathered.append(k)
-            geometry.append((kp.u, kp.v, kp.orientation, side))
-            boxes.append((math.floor(umin), math.ceil(umax), math.floor(vmin), math.ceil(vmax)))
-    keeps = np.array(keeps, dtype=bool).reshape(len(kps), len(pools)).T
-    gathered = np.array(gathered, dtype=np.intp)
-    u, v, theta, gathered_side = np.array(geometry).reshape(-1, 4).T
-    boxes = np.array(boxes, dtype=np.intp).reshape(-1, 4)
+    # _window_extent and _inside of each pool's largest window, to the bit
+    u, v, theta, c, s = np.array(
+        [(kp.u, kp.v, kp.orientation, abs(math.cos(kp.orientation)), abs(math.sin(kp.orientation))) for kp in kps]
+    ).reshape(-1, 5).T
+    with np.errstate(invalid="ignore"):  # an overflowing side times a zero sine
+        umin, umax, vmin, vmax = _extent(u, v, c, s, largest)
+    keeps = (umin >= 0) & (umax <= w - 1) & (vmin >= 0) & (vmax <= h - 1)
+    # a keypoint is gathered at the largest window that some pool keeps,
+    # which lies inside the image, so its box needs no clipping
+    gathered = np.flatnonzero(keeps.any(axis=0))
+    u, v, theta, c, s = (x[gathered] for x in (u, v, theta, c, s))
+    gathered_side = np.where(keeps, largest, -np.inf).max(axis=0, initial=-np.inf)[gathered]
+    umin, umax, vmin, vmax = _extent(u, v, c, s, gathered_side)
+    boxes = np.array([np.floor(umin), np.ceil(umax), np.floor(vmin), np.ceil(vmax)], dtype=np.intp).T.reshape(-1, 4)
     # each keypoint's first pixel in the flat field
     origin = gathered * (h * w) if layers else np.zeros(len(gathered), dtype=np.intp)
     # the pools' side columns over the gathered keypoints, bit-equal ones once
@@ -373,42 +382,134 @@ def accumulate_pools(
         columns = [distinct.setdefault(sides[gathered, j].tobytes(), len(distinct)) for j in range(sides.shape[1])]
         plans.append((keep[gathered], top[gathered], np.broadcast_to(weights, sides.shape)[gathered], columns))
     side_columns = np.array([np.frombuffer(column) for column in distinct]).T.reshape(len(gathered), len(distinct))
-    chunks = [slice(start, start + GRID_CHUNK) for start in range(0, len(gathered), GRID_CHUNK)]
-    pixels = [_window_pixels(field, u[c], v[c], theta[c], gathered_side[c], boxes[c].T, origin[c]) for c in chunks]
-    table = None
-    if not layers and len(gathered) > 1 and (theta.view(np.int64) == theta[:1].view(np.int64)).all():
-        # a relative orientation is then its pixel's alone: one kernel
-        # column per pixel that some window holds, for all chunks
-        index = np.zeros(h * w, dtype=np.intp)
-        index[np.concatenate([chunk_pixels[0] for chunk_pixels in pixels])] = 1
-        used = np.flatnonzero(index)
-        index[used] = np.arange(used.size)
-        table = index, vote_kernel(wrap_angle(field.orientation.reshape(-1)[used] - theta[0]), cfg.kernel(), cfg.bins)
-    grids = [[np.empty((0, cfg.length))] for _ in pools]
-    for chunk, chunk_pixels in zip(chunks, pixels):
+    grids = [np.empty((len(gathered), cfg.length)) for _ in pools]
+    upright = theta == 0.0
+    rotated = np.flatnonzero(~upright)
+    for chunk in (rotated[start : start + GRID_CHUNK] for start in range(0, len(rotated), GRID_CHUNK)):
         plan = [(keep[chunk], top[chunk], weights[chunk], columns) for keep, top, weights, columns in plans]
-        chunk_grids = _vote_grids(field, chunk_pixels, theta[chunk], side_columns[chunk], plan, cfg, table)
-        for pool, pool_grids in zip(grids, chunk_grids):
-            pool.append(pool_grids)
-    return [(gathered[keep].tolist(), np.concatenate(pool)) for (keep, *_), pool in zip(plans, grids)]
+        lattice = _box_lattice((h, w), boxes[chunk].T, origin[chunk])
+        pixels = _window_pixels(field, u[chunk], v[chunk], theta[chunk], gathered_side[chunk], lattice)
+        chunk_grids = _vote_grids(field, pixels, theta[chunk], side_columns[chunk], plan, cfg)
+        for grid, (keep, *_), rows in zip(grids, plan, chunk_grids):
+            grid[chunk[keep]] = rows
+    # a pool reads an upright keypoint over the box of 2r + 2 pixels a side
+    # from r left of and above the keypoint's pixel, r half the pool's
+    # largest side rounded up (-1 where the pool drops the keypoint), so
+    # every product has a shape that the keypoint and pool alone set
+    reach = np.array([np.where(keep, np.ceil(top / 2.0), -1) for keep, top, _, _ in plans], dtype=np.intp)
+    reach = reach.reshape(len(pools), len(gathered)).T
+    corner = np.floor(np.array([u, v])).astype(np.intp) - reach.max(axis=1, initial=0)
+    table = None
+    if not layers and upright.sum() > 1:
+        # an upright window's relative orientation is its pixel's own: one
+        # kernel column per pixel that some upright box holds, for all chunks
+        held = np.zeros((h, w), dtype=bool)
+        for u0, v0, r in zip(*corner[:, upright].tolist(), reach[upright].max(axis=1).tolist()):
+            held[max(v0, 0) : v0 + 2 * r + 2, max(u0, 0) : u0 + 2 * r + 2] = True
+        used = np.flatnonzero(held)
+        index = np.zeros(h * w, dtype=np.intp)
+        index[used] = np.arange(used.size)
+        table = index, vote_kernel(field.orientation.reshape(-1)[used], cfg.kernel(), cfg.bins)
+    # keypoints of the same boxes are taken GRID_CHUNK at a time, each pool's
+    # box centred in one of 2R + 2 pixels a side, R their largest r
+    signatures, group_of = np.unique(reach[upright], axis=0, return_inverse=True)
+    for g, signature in enumerate(signatures.tolist()):
+        group = np.flatnonzero(upright)[group_of.ravel() == g]
+        size = 2 * max(signature) + 2
+        holding = [p for p, r in enumerate(signature) if r >= 0]
+        for chunk in (group[start : start + GRID_CHUNK] for start in range(0, len(group), GRID_CHUNK)):
+            u0, v0 = corner[:, chunk]
+            lattice = _box_lattice((h, w), (u0, u0 + size - 1, v0, v0 + size - 1), origin[chunk])
+            taken = [(signature[p], side_columns[chunk][:, plans[p][3]], plans[p][2][chunk]) for p in holding]
+            for p, rows in zip(holding, _upright_grids(field, u[chunk], v[chunk], lattice, taken, cfg, table)):
+                grids[p][chunk] = rows
+    return [(gathered[keep].tolist(), grid[keep]) for (keep, *_), grid in zip(plans, grids)]
 
 
-def _window_pixels(field, u, v, theta, largest, box, origin):
-    """The valid pixels of each keypoint's largest window, in row-major order.
+def _box_lattice(shape, box, origin):
+    """The columns, rows and flat field indices of a chunk's inclusive boxes (u0, u1, v0, v1).
 
-    Works over each keypoint's window box, padded at its right and bottom
-    to the largest box of the chunk.  A padding pixel lies a pixel or more
-    outside its keypoint's window, far beyond round-off, so the window
-    test drops it.  ``origin`` is the flat index of each keypoint's first
-    pixel, that of its layer.  Returns the flat field index of every
-    selected pixel, keypoint after keypoint, its offsets (ex, ey) in the
-    keypoint's rotated frame, and the number of pixels per keypoint.
+    Each keypoint's box is padded at its right and bottom to the largest
+    box of the chunk, and indices are clipped into the image: the caller
+    weighs a pixel outside its keypoint's window by zero.  ``origin`` is
+    the flat index of each keypoint's first pixel, that of its layer.
     """
-    h, w = field.magnitude.shape[-2:]
+    h, w = shape
     u0, u1, v0, v1 = box
     cols = u0[:, None] + np.arange((u1 - u0).max() + 1)
     rows = v0[:, None] + np.arange((v1 - v0).max() + 1)
-    pix = (origin[:, None] + np.minimum(rows, h - 1) * w)[:, :, None] + np.minimum(cols, w - 1)[:, None, :]
+    pix = (origin[:, None] + np.minimum(np.maximum(rows, 0), h - 1) * w)[:, :, None]
+    pix = pix + np.minimum(np.maximum(cols, 0), w - 1)[:, None, :]
+    return cols, rows, pix
+
+
+def _cell_weights(offsets, sides, cells, kappa_fraction):
+    """One-hot Gaussian cell weights along one axis of upright windows.
+
+    ``offsets`` ``(k, n)`` are pixel offsets from each keypoint along one
+    axis, ``sides`` ``(k, S)`` window sides.  Entry (k, s, c, i) is the
+    Gaussian weight of offset i about the centre of its cell under side
+    s when that cell is c and the offset lies inside the window, else 0.
+    """
+    half = (sides / 2.0)[:, :, None]
+    cell = (sides / cells)[:, :, None]
+    sigma_k = kappa_fraction * cell
+    e = offsets[:, None, :]
+    c = np.minimum(np.floor((e + half) / cell), cells - 1)
+    d = e - ((c + 0.5) * cell - half)
+    gauss = np.where(np.abs(e) <= half, np.exp(-0.5 * d * d / (sigma_k * sigma_k)), 0.0)
+    return np.where(c[:, :, None, :] == np.arange(cells)[:, None], gauss[:, :, None, :], 0.0)
+
+
+def _upright_grids(field, u, v, lattice, pools, cfg, table):
+    """Raw grids of one chunk of upright keypoints, for each pool, from separable weights.
+
+    A pool is (r, its sides, its weights), the last two a row per
+    keypoint, and it reads the box of 2r + 2 pixels a side centred in
+    the ``lattice`` boxes.  Each box row votes its pixels' magnitudes
+    times their column weights into (side, cell column, bin) through
+    ``soft_vote``'s product, the row weights sum the rows into each
+    side's grid, and the pool's weights sum its sides, in side order.
+    ``table``, if not None, is (the column of each pixel, a matrix of
+    kernel columns), and gives the same products as ``soft_vote``.
+    """
+    cols, rows, pix = lattice
+    (k, size), R, C = cols.shape, cols.shape[1] // 2 - 1, cfg.cells
+    # column weights, then row weights, of every pool's sides over the whole box
+    offsets = np.concatenate((cols - u[:, None], rows - v[:, None]), axis=1)
+    axes = _cell_weights(offsets, np.concatenate([sides for _, sides, _ in pools], axis=1), C, cfg.kappa_fraction)
+    mag = np.where(field.valid.reshape(-1)[pix], field.magnitude.reshape(-1)[pix], 0.0)
+    if table is None:
+        orientation = field.orientation.reshape(-1)[pix]
+    else:
+        kernel = np.moveaxis(table[1].take(table[0][pix], axis=1), 0, 2)
+    out, first = [], 0
+    for r, sides, weights in pools:
+        S, box, n = sides.shape[1], slice(R - r, R + r + 2), 2 * r + 2
+        own, first = axes[:, first : first + S], first + S
+        across, down = own[..., box], own[..., size + box.start : size + box.stop]
+        votes = np.ascontiguousarray(mag[:, box, box])[:, :, None, :] * across.reshape(k, 1, S * C, n)
+        if table is None:
+            per_row = soft_vote(orientation[:, box, box], votes, cfg.kernel(), cfg.bins)
+        else:
+            # the same product as soft_vote's, from the table's columns
+            per_row = np.swapaxes(kernel[:, box, :, box] @ np.swapaxes(votes, -1, -2), -1, -2)
+        per_row = per_row.reshape(k, n, S, C * cfg.bins).transpose(0, 2, 1, 3)
+        grids = (down @ per_row).reshape(k, S, cfg.length)
+        out.append(sum(weights[:, j, None] * grids[:, j] for j in range(S)))
+    return out
+
+
+def _window_pixels(field, u, v, theta, largest, lattice):
+    """The valid pixels of each keypoint's largest window, in row-major order.
+
+    Works over the chunk's ``_box_lattice``.  A padding pixel lies a
+    pixel or more outside its keypoint's window, far beyond round-off, so
+    the window test drops it.  Returns the flat field index of every
+    selected pixel, keypoint after keypoint, its offsets (ex, ey) in the
+    keypoint's rotated frame, and the number of pixels per keypoint.
+    """
+    cols, rows, pix = lattice
     du = (cols - u[:, None])[:, None, :]
     dv = (rows - v[:, None])[:, :, None]
     c, s = np.array([(math.cos(-t), math.sin(-t)) for t in theta]).T[:, :, None, None]
@@ -419,13 +520,12 @@ def _window_pixels(field, u, v, theta, largest, box, origin):
     return pix[sel], np.stack((ex[sel], ey[sel])), sel.sum(axis=(1, 2))
 
 
-def _vote_grids(field, pixels, theta, sides, pools, cfg, table):
-    """Raw grids of one chunk of keypoints, for each pool, from the gathered pixels.
+def _vote_grids(field, pixels, theta, sides, pools, cfg):
+    """Raw grids of one chunk of rotated keypoints, for each pool, from the gathered pixels.
 
     ``sides`` holds the distinct side columns.  A pool is (the keypoints
     it keeps, its largest sides, its weights, one row per keypoint, and
-    the distinct column of each of its sides).  ``table``, if not None,
-    maps each pixel to its column of a matrix of kernel columns.
+    the distinct column of each of its sides).
     """
     pix, e, counts = pixels
     C = cfg.cells
@@ -470,23 +570,15 @@ def _vote_grids(field, pixels, theta, sides, pools, cfg, table):
             slots[j] = take(rows[column]) * n + np.arange(n)
             weighted[j] = weights[..., j] * m * take(gauss[column])
         flat = np.bincount(slots.ravel(), weighted.ravel(), (C * C + 1) * n)
-        votes.append((keep, take, flat.reshape(C * C + 1, n)[: C * C], np.bincount(own, minlength=counts.size)[keep]))
+        votes.append((take, flat.reshape(C * C + 1, n)[: C * C], np.bincount(own, minlength=counts.size)[keep]))
 
     # the kernel depends on a pixel's orientation relative to its keypoint
     # alone; each keypoint takes the product over its own columns, in its
-    # own pixel order, so that it sums exactly as for that keypoint alone
-    kernel = cfg.kernel()
-    if table is None or counts.size == 1:
-        rel = wrap_angle(field.orientation.reshape(-1)[pix] - spread(theta))
-    if counts.size == 1:
-        # the same product, on soft_vote for a test, not for speed: the
-        # benchmark's tracer test wants a call per one-keypoint descriptor
-        return [soft_vote(take(rel), pool, kernel, cfg.bins).reshape(1, -1)[keep] for keep, take, pool, _ in votes]
-    # take keeps it C-ordered, as compress does; without a table, pixels
-    # hardly share a relative orientation (own layers or orientations)
-    columns = vote_kernel(rel, kernel, cfg.bins) if table is None else table[1].take(table[0][pix], axis=1)
+    # own pixel order, so that it sums exactly as for that keypoint alone.
+    # take keeps the columns C-ordered, as compress does
+    columns = vote_kernel(wrap_angle(field.orientation.reshape(-1)[pix] - spread(theta)), cfg.kernel(), cfg.bins)
     out = []
-    for _, take, pool, pool_counts in votes:
+    for take, pool, pool_counts in votes:
         pool_columns = take(columns)
         bounds = [0, *np.cumsum(pool_counts).tolist()]
         grids = [(pool_columns[:, a:b] @ pool[:, a:b].T).T.ravel() for a, b in zip(bounds, bounds[1:])]

@@ -309,10 +309,12 @@ def _bilinear_sample(values, su, sv):
     fv = sv - v0
     u1 = np.minimum(u0 + 1, w - 1)
     v1 = np.minimum(v0 + 1, h - 1)
-    p00 = values[v0, u0]
-    p01 = values[v0, u1]
-    p10 = values[v1, u0]
-    p11 = values[v1, u1]
+    # flat gathers: exact copies, as the 2-D indexes give, but faster
+    flat = values.ravel()
+    p00 = flat.take(v0 * w + u0)
+    p01 = flat.take(v0 * w + u1)
+    p10 = flat.take(v1 * w + u0)
+    p11 = flat.take(v1 * w + u1)
     top = p00 * (1.0 - fu) + p01 * fu
     bot = p10 * (1.0 - fu) + p11 * fu
     return top * (1.0 - fv) + bot * fv

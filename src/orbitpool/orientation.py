@@ -168,27 +168,33 @@ def soft_vote(orientations, weights, kernel: CircularKernel, bins: int) -> np.nd
     ``(m, bins)`` array whose row ``i`` equals ``soft_vote(orientations,
     weights[i], kernel, bins)``.  The kernel is evaluated once for all
     rows, so histograms that share samples (the cells and window sizes of
-    one descriptor) cost one evaluation.
+    one descriptor) cost one evaluation.  Leading axes batch: orientations
+    ``(..., n)`` and weights ``(..., m, n)`` give ``(..., m, bins)``, each
+    batch element bit for bit its own ``(m, n)`` call.
     """
-    orientations = np.asarray(orientations, dtype=float).ravel()
+    orientations = np.asarray(orientations, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    if weights.ndim != 2:
-        weights = weights.ravel()
-    if weights.shape[-1] != orientations.size:
+    if weights.ndim < 3:
+        orientations = orientations.ravel()
+        if weights.ndim < 2:
+            weights = weights.ravel()
+    if weights.shape[-1] != orientations.shape[-1]:
         raise ValueError("orientations and weights must have the same length")
-    if orientations.size == 0:
-        return np.zeros(weights.shape[:-1] + (bins,))
-    return (vote_kernel(orientations, kernel, bins) @ weights.T).T
+    columns = vote_kernel(orientations, kernel, bins)
+    if weights.ndim == 1:
+        return columns @ weights
+    return np.swapaxes(columns @ np.swapaxes(weights, -1, -2), -1, -2)
 
 
 def vote_kernel(orientations, kernel: CircularKernel, bins: int) -> np.ndarray:
-    """The ``(bins, n)`` matrix ``kernel(center_b - a_i)`` that ``soft_vote`` weights.
+    """The ``(..., bins, n)`` matrices ``kernel(center_b - a_i)`` that ``soft_vote`` weights.
 
-    Each entry depends on one orientation alone, so a sample's column is
-    the same in whatever set of samples it is evaluated.
+    Orientations are ``(..., n)``.  Each entry depends on one orientation
+    alone, so a sample's column is the same in whatever set of samples it
+    is evaluated.
     """
-    orientations = np.asarray(orientations, dtype=float).ravel()
-    return kernel(bin_centers(bins)[:, None] - orientations[None, :])
+    orientations = np.asarray(orientations, dtype=float)
+    return kernel(bin_centers(bins)[:, None] - orientations[..., None, :])
 
 
 def pooled_histogram(

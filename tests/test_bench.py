@@ -471,6 +471,55 @@ class TestDescribeKinds:
                      build_filter_bank(scales=4))
 
 
+    def test_kinds_that_keep_no_keypoint_have_their_width(self):
+        # a window at (3, 3) leaves the image for every kind
+        img = noise_base(30, side=40)
+        mcfg = MatchConfig()
+        args = (mcfg.prior, mcfg.descriptor, mcfg.scattering_bank())
+        dropped = describe_kinds(img, [Keypoint(3.0, 3.0, mcfg.base_size)], KINDS, *args)
+        kept = describe_kinds(img, [Keypoint(20.0, 20.0, mcfg.base_size)], KINDS, *args)
+        for kind in KINDS:
+            assert kept[kind][1].shape == (1, 128 if kind in bench.HISTOGRAM_KINDS else 216)
+            assert dropped[kind][0] == []
+            assert dropped[kind][1].shape == (0, kept[kind][1].shape[1])
+            assert dropped[kind][2].shape == (0,)
+
+
+class TestRoundOff:
+    def test_histogram_matches_survive_relative_noise(self, monkeypatch):
+        # on bases 0, 4, 8, 12 and 16 of the directional benchmark at its
+        # four scales (base 0 is the ramp, whose rows differ by round-off),
+        # scaling every sift and dsp-sift row by 1 + 1e-13 N(0, 1) keeps
+        # each pair's set of accepted matches at ratio 0.95
+        bases = textures.benchmark_bases(20)
+        pairs = [
+            make_pair(bases[i], SynthSpec(scale_range=(s, s)), np.random.default_rng([77, i, int(round(s * 100))]))
+            for i in (0, 4, 8, 12, 16)
+            for s in (0.7, 0.8, 1.2, 1.4)
+        ]
+        mcfg = MatchConfig(ratio=0.95)
+        kinds = ("sift", "dsp-sift")
+
+        def accepted(pair):
+            matches = bench.match_kinds(pair, kinds, mcfg)
+            return {kind: {(r.ref_index, r.matched_index) for r in matches[kind].records} for kind in kinds}
+
+        want = [accepted(pair) for pair in pairs]
+        assert sum(len(found) for pair_sets in want for found in pair_sets.values()) > 0
+        exact = bench.describe_kinds
+        rng = np.random.default_rng(13)
+
+        def noisy(*args):
+            return {
+                kind: (kept, rows * (1.0 + 1e-13 * rng.standard_normal((len(rows), 1))), flags)
+                for kind, (kept, rows, flags) in exact(*args).items()
+            }
+
+        monkeypatch.setattr(bench, "describe_kinds", noisy)
+        for _ in range(3):
+            assert [accepted(pair) for pair in pairs] == want
+
+
 class TestWorkCounts:
     def test_each_image_described_once(self, monkeypatch):
         pair = make_pair(noise_base(29, side=72), SynthSpec(scale_range=(1.3, 1.3)),

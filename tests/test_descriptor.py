@@ -436,6 +436,20 @@ def reference_grid(field, kp, sides, weights, cfg):
     return (kernel @ votes.T).T.ravel()
 
 
+def assert_reference_grids(raw, want, kps, kept):
+    """Compare batched grids with ``reference_grid``'s for the ``kept`` keypoints.
+
+    Rotated keypoints repeat the reference bit for bit.  Upright ones take
+    the separable path, whose sums associate differently: each entry lies
+    within 1e-14 of its row's l1 mass.
+    """
+    want = np.array([want[k] for k in kept], dtype=float).reshape(raw.shape)
+    upright = np.array([kps[k].orientation == 0.0 for k in kept], dtype=bool)
+    npt.assert_array_equal(bits(raw[~upright]), bits(want[~upright]))
+    mass = np.abs(want[upright]).sum(axis=1, keepdims=True)
+    assert (np.abs(raw[upright] - want[upright]) <= 1e-14 * mass).all()
+
+
 @st.composite
 def keypoint_sets(draw):
     """Up to three chunks of keypoints: mixed base sizes, shared and own
@@ -500,7 +514,7 @@ class TestAccumulateGrids:
 
         want = [reference_grid(f, kp, sides[i], prior.weights, cfg) for i, kp in enumerate(kps)]
         assert kept == [i for i, grid in enumerate(want) if grid is not None]
-        npt.assert_array_equal(bits(raw), bits([want[i] for i in kept]).reshape(-1, cfg.length))
+        assert_reference_grids(raw, want, kps, kept)
 
         described = []
         for i, kp in enumerate(kps):
@@ -528,7 +542,7 @@ class TestAccumulateGrids:
             reference_grid(gradient_field_of_array(stack[k]), kp, sides[k], weights[k], cfg) for k, kp in enumerate(kps)
         ]
         assert kept == [k for k, grid in enumerate(want) if grid is not None]
-        npt.assert_array_equal(bits(raw), bits([want[k] for k in kept]).reshape(-1, cfg.length))
+        assert_reference_grids(raw, want, kps, kept)
 
     @pytest.mark.parametrize("orientation", sorted(LATTICE_ORIENTATIONS))
     @pytest.mark.parametrize("name", FEW_ORIENTATION_FIELDS)
@@ -544,7 +558,7 @@ class TestAccumulateGrids:
         want = [reference_grid(f, kp, sides[i], prior.weights, cfg) for i, kp in enumerate(kps)]
         assert kept == [i for i, grid in enumerate(want) if grid is not None]
         assert len(kept) > GRID_CHUNK
-        npt.assert_array_equal(bits(raw), bits([want[i] for i in kept]).reshape(-1, cfg.length))
+        assert_reference_grids(raw, want, kps, kept)
         assert raw.any() == (name != "flat")
 
     @pytest.mark.parametrize("orientation", sorted(LATTICE_ORIENTATIONS))
@@ -560,7 +574,7 @@ class TestAccumulateGrids:
         ]
         assert kept == [k for k, grid in enumerate(want) if grid is not None]
         assert len(kept) > GRID_CHUNK
-        npt.assert_array_equal(bits(raw), bits([want[k] for k in kept]).reshape(-1, cfg.length))
+        assert_reference_grids(raw, want, kps, kept)
 
     def test_layers_and_weight_rows_must_match_keypoints(self):
         cfg = DescriptorConfig()
@@ -674,7 +688,7 @@ class TestAccumulatePools:
             rows = np.broadcast_to(weights, (len(kps), np.shape(weights)[-1]))
             want = [reference_grid(layers[k], kp, sides[k], rows[k], cfg) for k, kp in enumerate(kps)]
             assert kept == [k for k, grid in enumerate(want) if grid is not None]
-            npt.assert_array_equal(bits(raw), bits([want[k] for k in kept]).reshape(-1, cfg.length))
+            assert_reference_grids(raw, want, kps, kept)
             alone_kept, alone = accumulate_pools(field, kps, [(sides, weights)], cfg)[0]
             assert alone_kept == kept
             npt.assert_array_equal(bits(alone), bits(raw))
@@ -696,6 +710,46 @@ class TestAccumulatePools:
             alone_kept, alone = accumulate_pools(f, kps, [(sides, weights)], cfg)[0]
             assert alone_kept == kept
             npt.assert_array_equal(bits(alone), bits(raw))
+
+    def test_large_windows_alone_in_a_batch_and_with_other_pools(self):
+        # windows wider than 32 pixels, where the order in which a BLAS
+        # product sums can change with the product's shape
+        cfg = DescriptorConfig()
+        rng = np.random.default_rng(17)
+        field = compute_gradients(textures.filtered_noise(96, 96, seed=17))
+        position = lambda: float(rng.uniform(20.0, 76.0))
+        kps = [Keypoint(position(), position(), float(rng.uniform(4.0, 9.0)), 0.7 * (k % 4 == 0)) for k in range(24)]
+        pools = pools_of((SizePrior.delta(), SizePrior.default(), SizePrior.uniform((1.0, 1.6))), kps, cfg)
+        for (kept, raw), (sides, weights) in zip(accumulate_pools(field, kps, pools, cfg), pools):
+            assert len(kept) > GRID_CHUNK
+            alone_kept, alone = accumulate_pools(field, kps, [(sides, weights)], cfg)[0]
+            assert alone_kept == kept
+            npt.assert_array_equal(bits(alone), bits(raw))
+            for k, row in zip(kept, raw):
+                one = accumulate_pools(field, [kps[k]], [([sides[k]], weights)], cfg)[0][1]
+                npt.assert_array_equal(bits(one[0]), bits(row))
+
+
+class TestUprightPath:
+    def test_upright_keypoints_never_gather_pixels(self, monkeypatch):
+        # lattices, detected keypoints and template views are upright, and
+        # take the separable path; a rotated keypoint still gathers
+        from orbitpool import bench, descriptor, soa
+
+        def refuse(*args):
+            raise AssertionError("_window_pixels reached")
+
+        monkeypatch.setattr(descriptor, "_window_pixels", refuse)
+        img = textures.filtered_noise(64, 64, seed=7)
+        mcfg = bench.MatchConfig()
+        for kps in (grid_keypoints(img, 12, 6.0), dog_keypoints(img)):
+            described = bench.describe_kinds(img, kps, bench.HISTOGRAM_KINDS, mcfg.prior, mcfg.descriptor, None)
+            assert all(kept for kept, _, _ in described.values())
+        samples = soa.GroupSampleSet.rotation_group(4, anti_alias="delta")
+        template = soa.build_template(img, Keypoint(31.5, 31.5, 6.6), samples)
+        assert not any(d.degenerate for d in template.descriptors)
+        with pytest.raises(AssertionError, match="_window_pixels reached"):
+            accumulate_grid(compute_gradients(img), Keypoint(32.0, 32.0, 4.0, 0.5), (12.0,), (1.0,), DescriptorConfig())
 
 
 class TestRotationCanonization:

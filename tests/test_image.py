@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from orbitpool.image import (
     _SNAP_EPS,
+    _bilinear_sample,
     PRE_SIGMA,
     AffineContrast,
     GammaContrast,
@@ -415,6 +416,45 @@ class TestWarpBoxes:
         g = SimilarityTransform.identity()
         with pytest.raises(ValueError, match="one shape"):
             warp_boxes(img, [g, g], [(0, 3, 0, 3), (0, 4, 0, 3)])
+
+
+def two_index_sample(values, su, sv):
+    """Bilinear sampling with 2-D fancy indexes, which ``_bilinear_sample`` matches bit for bit."""
+    h, w = values.shape
+    su = np.where(np.abs(su - np.round(su)) < _SNAP_EPS, np.round(su), su)
+    sv = np.where(np.abs(sv - np.round(sv)) < _SNAP_EPS, np.round(sv), sv)
+    u0 = np.floor(su).astype(np.intp)
+    v0 = np.floor(sv).astype(np.intp)
+    fu = su - u0
+    fv = sv - v0
+    u1 = np.minimum(u0 + 1, w - 1)
+    v1 = np.minimum(v0 + 1, h - 1)
+    top = values[v0, u0] * (1.0 - fu) + values[v0, u1] * fu
+    bot = values[v1, u0] * (1.0 - fu) + values[v1, u1] * fu
+    return top * (1.0 - fv) + bot * fv
+
+
+class TestBilinearSample:
+    def test_flat_gathers_equal_two_dimensional_indexes(self):
+        rng = np.random.default_rng(41)
+        values = rng.uniform(size=(23, 31))
+        # a stack of grids, and rows and columns broadcast against each
+        # other as extract_patches passes them, with lattice hits and the
+        # last row and column
+        su = rng.uniform(0.0, 30.0, size=(4, 9, 11))
+        sv = rng.uniform(0.0, 22.0, size=(4, 9, 11))
+        su[0] = np.round(su[0])
+        su[1, :, -1], sv[1, -1, :] = 30.0, 22.0
+        cases = [
+            (su, sv),
+            (su[:, :1, :], sv[:, :, :1]),
+            (np.array(30.0 - 1e-10), np.array([0.0, 3.5, 22.0])),
+        ]
+        for u, v in cases:
+            got = _bilinear_sample(values, u, v)
+            want = two_index_sample(values, u, v)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 class TestSimilarityTransform:

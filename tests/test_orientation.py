@@ -305,5 +305,22 @@ class TestHelpers:
         with pytest.raises(ValueError):
             soft_vote(oris, weights[:, 1:], k, 8)
 
+    def test_soft_vote_batched_equals_each_matrix_alone(self):
+        # leading axes batch: each (m, n) matrix votes bit for bit as in
+        # its own call, and each row as its own 1-D call up to rounding
+        rng = np.random.default_rng(7)
+        oris = rng.uniform(0, 2 * np.pi, (3, 4, 25))
+        weights = rng.uniform(0, 1, (3, 4, 20, 25))
+        k = CircularKernel(0.5)
+        got = soft_vote(oris, weights, k, 8)
+        assert got.shape == (3, 4, 20, 8)
+        for i in range(3):
+            for j in range(4):
+                assert got[i, j].tobytes() == soft_vote(oris[i, j], weights[i, j], k, 8).tobytes()
+                for row, w in zip(got[i, j], weights[i, j]):
+                    npt.assert_allclose(row, soft_vote(oris[i, j], w, k, 8), rtol=0, atol=1e-12)
+        with pytest.raises(ValueError):
+            soft_vote(oris[..., 1:], weights, k, 8)
+
     def test_bin_centers(self):
         npt.assert_allclose(bin_centers(4), [0.0, np.pi / 2, np.pi, 3 * np.pi / 2])
