@@ -38,6 +38,7 @@ __all__ = [
     "accumulate_pools",
     "normalize_grid",
     "normalize_grids",
+    "quarter_turn",
     "single_size_descriptor",
     "dsp_descriptor",
     "descriptor_distance",
@@ -411,10 +412,17 @@ def accumulate_pools(
         index[used] = np.arange(used.size)
         table = index, vote_kernel(field.orientation.reshape(-1)[used], cfg.kernel(), cfg.bins)
     # keypoints of the same boxes are taken GRID_CHUNK at a time, each pool's
-    # box centred in one of 2R + 2 pixels a side, R their largest r
-    signatures, group_of = np.unique(reach[upright], axis=0, return_inverse=True)
-    for g, signature in enumerate(signatures.tolist()):
-        group = np.flatnonzero(upright)[group_of.ravel() == g]
+    # box centred in one of 2R + 2 pixels a side, R their largest r.  Their
+    # rows of r are told apart by a 1-D key, the dense rank of the rows in
+    # lexicographic order, built one pool at a time so that it stays below
+    # the keypoint count
+    upright_at = np.flatnonzero(upright)
+    key = np.zeros(upright_at.size, dtype=np.intp)
+    for column in reach[upright_at].T:
+        key = np.unique(key * (column.max(initial=0) + 2) + column + 1, return_inverse=True)[1]
+    for g in range(key.max(initial=-1) + 1):
+        group = upright_at[key == g]
+        signature = reach[group[0]].tolist()
         size = 2 * max(signature) + 2
         holding = [p for p, r in enumerate(signature) if r >= 0]
         for chunk in (group[start : start + GRID_CHUNK] for start in range(0, len(group), GRID_CHUNK)):
@@ -624,6 +632,20 @@ def normalize_grids(raw: np.ndarray, cfg: DescriptorConfig) -> Tuple[np.ndarray,
     rows = raw / np.where(degenerate[:, None], 1.0, total)
     rows[degenerate] = 1.0 / cfg.length
     return rows, degenerate
+
+
+def quarter_turn(grid: np.ndarray, k: int, cfg: DescriptorConfig) -> np.ndarray:
+    """A flat C x C x B grid as an upright window reads it after k quarter turns of the image.
+
+    ``SimilarityTransform(rotation=pi/2)`` maps a pixel offset (du, dv) to
+    (-dv, du), clockwise on screen with v pointing down.  So the (row,
+    column) cells turn clockwise k times, and every gradient orientation
+    grows by k pi/2: the bins roll by k B / 4.
+    """
+    if cfg.bins % 4:
+        raise ValueError(f"a quarter turn needs bins divisible by 4, got {cfg.bins}")
+    cells = np.rot90(grid.reshape(cfg.cells, cfg.cells, cfg.bins), -k, axes=(0, 1))
+    return np.roll(cells, k * cfg.bins // 4, axis=2).ravel()
 
 
 def normalize_grid(raw: np.ndarray, kp: Keypoint, cfg: DescriptorConfig) -> Descriptor:

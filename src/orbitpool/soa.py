@@ -16,8 +16,8 @@ orientation, so the transform itself is what distinguishes the views.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, TextIO, Tuple
+from dataclasses import FrozenInstanceError, dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,10 +30,9 @@ from .descriptor import (
     _support_error,
     accumulate_pools,
     normalize_grid,
-    read_rows,
+    quarter_turn,
     window_box,
     window_inside,
-    write_rows,
 )
 
 __all__ = [
@@ -45,11 +44,17 @@ __all__ = [
     "build_template",
     "anti_aliased_score",
     "soa_likelihood",
-    "save_template",
-    "load_template",
 ]
 
 Perturbations = Tuple[Tuple[SimilarityTransform, float], ...]
+
+# How close a sample must be to a quarter turn of an earlier one, in scale,
+# rotation and translation; how close each turned keypoint must be to the
+# turn of its source, and how far every pixel offset must stay from a cell
+# boundary (px); and how far inside the image a source box must map (px).
+_SAMPLE_TOL = 1e-12
+_POINT_TOL = 1e-9
+_INSIDE_TOL = 1e-6
 
 
 def delta_perturbation() -> Perturbations:
@@ -133,13 +138,10 @@ class TemplateModel:
 
     source: str
     descriptors: Tuple[Descriptor, ...]
-    samples: Optional[GroupSampleSet] = None
 
     def __post_init__(self):
         if len(self.descriptors) < 1:
             raise ValueError("template needs at least one descriptor")
-        if self.samples is not None and len(self.samples) != len(self.descriptors):
-            raise ValueError("descriptor count must match the sample set")
 
     def __len__(self):
         return len(self.descriptors)
@@ -186,14 +188,14 @@ def _uncovered(mask: np.ndarray, kp: Keypoint, size: float, shape, box) -> Optio
 def _view_grids(img: ImageBuffer, views, size: float, cfg: DescriptorConfig):
     """Raw grids of views whose boxes share one shape, in one warp, gradient pass and vote.
 
-    Each view is (inverse transform, moved keypoint, box, weight).
+    Each view is (transform, moved keypoint, box, weight).
     Returns the grids, one row per view, and each view's error or None:
     an uncovered window, then a field too small for gradients, then a
     window leaving the image, in the order a lone view meets them.
     """
-    inverses, moved, boxes, weights = zip(*views)
+    transforms, moved, boxes, weights = zip(*views)
     shape = img.values.shape
-    warped, inside = warp_boxes(img, inverses, boxes)
+    warped, inside = warp_boxes(img, [g.inverse() for g in transforms], boxes)
     errors = [_uncovered(mask, m, size, shape, box) for mask, m, box in zip(inside, moved, boxes)]
     out = np.zeros((len(views), cfg.length))
     try:
@@ -207,6 +209,63 @@ def _view_grids(img: ImageBuffer, views, size: float, cfg: DescriptorConfig):
         if errors[k] is None and k not in kept:
             errors[k] = _support_error(kp, (size,), warped.shape[1:])
     return out, errors
+
+
+def _turn(point, k: int, center) -> Tuple[float, float]:
+    """``point`` turned by k quarter turns about ``center``, as ``SimilarityTransform(rotation=k*pi/2)`` turns it."""
+    du, dv = point[0] - center[0], point[1] - center[1]
+    for _ in range(k % 4):
+        du, dv = -dv, du
+    return center[0] + du, center[1] + dv
+
+
+def _quarter_turns(g: SimilarityTransform, source: SimilarityTransform) -> int:
+    """The k in 1..3 with ``g`` = R(k pi/2) o ``source`` within ``_SAMPLE_TOL``, else 0."""
+    turns = (g.rotation - source.rotation) / (math.pi / 2.0)
+    k = round(turns)
+    turned = _turn(source.translation, k, (0.0, 0.0))
+    close = [abs(turns - k) * math.pi / 2.0, abs(g.scale - source.scale)]
+    close += [abs(a - b) for a, b in zip(g.translation, turned)]
+    return k % 4 if max(close) <= _SAMPLE_TOL else 0
+
+
+def _exact_box(moved: Keypoint, box, size: float, shape) -> bool:
+    """Whether a view's box is its window box plus ``GRADIENT_MARGIN``, neither clipped nor the fallback."""
+    u0, u1, v0, v1 = window_box(moved, size, shape)
+    m = GRADIENT_MARGIN
+    return box == (u0 - m, u1 + m, v0 - m, v1 + m)
+
+
+def _sound_source(view, size: float, cells: int, shape, center) -> bool:
+    """Whether a planned view reads the same pixels as any quarter turn of it.
+
+    Its box is exact and maps, through the view's inverse, at least
+    ``_INSIDE_TOL`` px inside the image, so no mask or snap to the border
+    can tell the views apart; and no pixel offset from the (upright)
+    keypoint lies within ``_POINT_TOL`` of a cell boundary or window
+    edge, where the floor of the cell index would move a whole cell.
+    """
+    composed, moved, box, _ = view
+    if not _exact_box(moved, box, size, shape):
+        return False
+    h, w = shape
+    su, sv = composed.inverse().map_pixel([(u, v) for u in box[:2] for v in box[2:]], center).T
+    if min(su.min(), sv.min(), w - 1 - su.max(), h - 1 - sv.max()) < _INSIDE_TOL:
+        return False
+    half, cell = size / 2.0, size / cells
+    edges = [x - half + m * cell for x in (moved.u, moved.v) for m in range(cells + 1)]
+    return all(abs(e - round(e)) > _POINT_TOL for e in edges)
+
+
+def _turned_view(view, source, k: int, size: float, shape, center) -> bool:
+    """Whether a planned view is the quarter turn by k of the ``source`` view: its keypoint and exact box."""
+    _, moved, box, _ = view
+    _, source_moved, source_box, _ = source
+    u, v = _turn((source_moved.u, source_moved.v), k, center)
+    if max(abs(moved.u - u), abs(moved.v - v)) > _POINT_TOL:
+        return False
+    us, vs = zip(*(_turn(p, k, center) for p in ((source_box[0], source_box[2]), (source_box[1], source_box[3]))))
+    return box == (min(us), max(us), min(vs), max(vs)) and _exact_box(moved, box, size, shape)
 
 
 def build_template(
@@ -234,33 +293,70 @@ def build_template(
     the same pixel offsets to the bit, and the descriptors are those of
     the whole-image warp.
 
-    The views are planned first, then grouped by box shape and taken
-    ``GRID_CHUNK`` at a time: one ``warp_boxes`` call, one gradient pass
-    over the chunk's stack and one ``accumulate_pools`` call in which
-    view k reads layer k.  Every layer, and every view's grid, is bit for
-    bit that of the view alone, and only one chunk's layers are alive at
-    a time.  If a view fails, the error raised is the first failing
-    view's, in sample and cloud order, as a view-by-view loop would raise
-    it; support errors name the keypoint in whole-image coordinates.
+    Quarter turns about the image centre map the lattice onto itself when
+    w + h is even.  A sample g_i = R(k pi/2) o g_j, within 1e-12, of an
+    earlier warped sample g_j with the same cloud is not warped: its
+    pooled raw grid is ``quarter_turn`` of g_j's.  That needs B divisible
+    by 4 and an upright keypoint, and for every view pair the turned
+    keypoint within 1e-9 of the warp's and the turned box the warp's;
+    both boxes exact (neither clipped nor the whole-image fallback); the
+    source box mapping at least 1e-6 px inside the image; and no pixel
+    offset within 1e-9 of a cell boundary or window edge.  Such a sample
+    is the warp's to round-off (within 1e-12), and it cannot fail where
+    its source does not.  Every other sample is warped and is bit for
+    bit the whole-image warp's.
+
+    The warped views are planned first, then grouped by box shape and
+    taken ``GRID_CHUNK`` at a time: one ``warp_boxes`` call, one gradient
+    pass over the chunk's stack and one ``accumulate_pools`` call in
+    which view k reads layer k.  Every layer, and every view's grid, is
+    bit for bit that of the view alone, and only one chunk's layers are
+    alive at a time.  If a view fails, the error raised is the first
+    failing view's, in sample and cloud order, as a view-by-view loop
+    would raise it; support errors name the keypoint in whole-image
+    coordinates.
     """
     size = cfg.support_factor * kp.base_size
     shape = img.values.shape
-    views, errors = [], []
+    center = img.center
+    turnable = cfg.bins % 4 == 0 and sum(shape) % 2 == 0 and kp.orientation == 0.0
+    views, errors, spans, turned, sound = [], [], [], [], {}
     for g_i, cloud in zip(samples.samples, samples.anti_alias):
+        first = len(views)
         for g, weight in cloud:
             try:
                 composed = g_i.compose(g)
-                moved = _warped_keypoint(kp, composed, img.center)
-                views.append((composed.inverse(), moved, _view_box(moved, size, shape), weight))
+                moved = _warped_keypoint(kp, composed, center)
+                views.append((composed, moved, _view_box(moved, size, shape), weight))
                 errors.append(None)
             except ValueError as exc:
                 views.append(None)
                 errors.append(exc)
+        own = slice(first, len(views))
+        spans.append(own)
+        turned.append(None)
+        if not turnable or None in views[own]:
+            continue
+        # the first earlier warped sample that this one is a quarter turn of
+        for j, (g_j, cloud_j) in enumerate(zip(samples.samples, samples.anti_alias[: len(turned) - 1])):
+            k = 0 if turned[j] is not None else _quarter_turns(g_i, g_j)
+            if not k or cloud_j != cloud:
+                continue
+            if j not in sound:
+                sound[j] = None not in views[spans[j]] and all(
+                    _sound_source(view, size, cfg.cells, shape, center) for view in views[spans[j]]
+                )
+            if sound[j] and all(
+                _turned_view(view, base, k, size, shape, center) for view, base in zip(views[own], views[spans[j]])
+            ):
+                turned[-1] = (j, k)
+                break
     groups: Dict[Tuple[int, int], List[int]] = {}
-    for i, view in enumerate(views):
-        if view is not None:
-            u0, u1, v0, v1 = view[2]
-            groups.setdefault((v1 - v0, u1 - u0), []).append(i)
+    for span, turn in zip(spans, turned):
+        for i in range(span.start, span.stop):
+            if views[i] is not None and turn is None:
+                u0, u1, v0, v1 = views[i][2]
+                groups.setdefault((v1 - v0, u1 - u0), []).append(i)
     grids = np.zeros((len(views), cfg.length))
     for members in groups.values():
         for start in range(0, len(members), GRID_CHUNK):
@@ -272,14 +368,16 @@ def build_template(
     failed = next((e for e in errors if e is not None), None)
     if failed is not None:
         raise failed
-    rows = iter(grids)
-    descriptors = []
-    for cloud in samples.anti_alias:
-        pooled = np.zeros(cfg.length)
-        for _ in cloud:
-            pooled += next(rows)
-        descriptors.append(normalize_grid(pooled, kp, cfg))
-    return TemplateModel(source, tuple(descriptors), samples)
+    pooled = []
+    for span, turn in zip(spans, turned):
+        if turn is None:
+            total = np.zeros(cfg.length)
+            for row in grids[span]:
+                total += row
+        else:
+            total = quarter_turn(pooled[turn[0]], turn[1], cfg)
+        pooled.append(total)
+    return TemplateModel(source, tuple(normalize_grid(total, kp, cfg) for total in pooled))
 
 
 def anti_aliased_score(template: TemplateModel, index: int, query: Descriptor) -> float:
@@ -293,23 +391,55 @@ def anti_aliased_score(template: TemplateModel, index: int, query: Descriptor) -
     return float(np.sqrt(a * b).sum())
 
 
-@dataclass(frozen=True)
 class SOAResult:
-    """Max score over template samples, with the winning 1-based index."""
+    """Max score over template samples, with the winning 1-based index.
 
-    value: float
-    argmax_index: int
-    per_sample_scores: Tuple[float, ...]
+    The scores are kept as one read-only float64 array, which is far
+    smaller than a tuple of floats; ``per_sample_scores`` gives the tuple.
+    Instances are immutable and compare equal field by field.
+    """
 
-    def __post_init__(self):
-        scores = self.per_sample_scores
-        if not scores:
+    __slots__ = ("value", "argmax_index", "_scores")
+
+    def __init__(self, value: float, argmax_index: int, per_sample_scores: Sequence[float]):
+        scores = np.array(per_sample_scores, dtype=np.float64)
+        if scores.ndim != 1 or not scores.size:
             raise ValueError("need at least one score")
-        best = max(scores)
-        if self.value != best:
+        listed = scores.tolist()
+        best = max(listed)
+        if value != best:
             raise ValueError("value must equal the maximum per-sample score")
-        if scores.index(best) + 1 != self.argmax_index:
+        if listed.index(best) + 1 != argmax_index:
             raise ValueError("argmax_index must point at the first maximal score")
+        scores.setflags(write=False)
+        for name, field in (("value", value), ("argmax_index", argmax_index), ("_scores", scores)):
+            object.__setattr__(self, name, field)
+
+    @property
+    def per_sample_scores(self) -> Tuple[float, ...]:
+        return tuple(self._scores.tolist())
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _fields(self):
+        return self.value, self.argmax_index, self.per_sample_scores
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return SOAResult, self._fields()
+
+    def __repr__(self):
+        value, index, scores = self._fields()
+        return f"SOAResult(value={value!r}, argmax_index={index!r}, per_sample_scores={scores!r})"
 
 
 def soa_likelihood(template: TemplateModel, query: Descriptor) -> SOAResult:
@@ -322,29 +452,7 @@ def soa_likelihood(template: TemplateModel, query: Descriptor) -> SOAResult:
     if rows.shape[1] != query.values.size:
         raise ValueError(f"descriptor lengths differ: {rows.shape[1]} vs {query.values.size}")
     # each row sums as in anti_aliased_score, to the bit
-    scores = tuple(np.sqrt(rows * query.values).sum(axis=1).tolist())
-    best = max(scores)
-    return SOAResult(best, scores.index(best) + 1, scores)
-
-
-def save_template(template: TemplateModel, out: TextIO) -> None:
-    """Header (source, count, grid shape, metric=affinity), then one row per sample."""
-    first = template.descriptors[0]
-    header = {"source": template.source, "n": len(template), "cells": first.cells,
-              "bins": first.bins, "metric": "affinity"}
-    write_rows(out, header, ((d.keypoint, d.degenerate, d.values) for d in template.descriptors))
-
-
-def load_template(stream: TextIO) -> TemplateModel:
-    """Parse the CSV format written by save_template."""
-    fields, rows = read_rows(stream)
-    missing = [key for key in ("n", "cells", "bins") if key not in fields]
-    if missing:
-        raise ValueError(f"template header lacks {', '.join(missing)}")
-    cells, bins, count = int(fields["cells"]), int(fields["bins"]), int(fields["n"])
-    if cells < 1 or bins < 1:
-        raise ValueError(f"template grid must have positive cells and bins, got {cells} and {bins}")
-    descriptors = tuple(Descriptor(values, cells, bins, kp, flag) for kp, flag, values in rows)
-    if len(descriptors) != count:
-        raise ValueError(f"template header promises {count} samples, found {len(descriptors)}")
-    return TemplateModel(fields.get("source", "template"), descriptors)
+    scores = np.sqrt(rows * query.values).sum(axis=1)
+    listed = scores.tolist()
+    best = max(listed)
+    return SOAResult(best, listed.index(best) + 1, scores)

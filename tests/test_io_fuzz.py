@@ -1,6 +1,5 @@
 """Input hardening: mutated PGM and CSV inputs fail only with the
-documented error types, and descriptor and template rows round-trip
-bit for bit."""
+documented error types, and descriptor rows round-trip bit for bit."""
 
 import io
 import struct
@@ -12,7 +11,6 @@ from hypothesis import strategies as st
 
 from orbitpool.descriptor import Descriptor, Keypoint, read_rows, write_rows
 from orbitpool.image import ImageBuffer, ImageDataError, ImageFormatError, load_image
-from orbitpool.soa import TemplateModel, load_template, save_template
 
 # what a caller, and so the CLI's exit code 2, is promised
 DOCUMENTED = (ImageDataError, ImageFormatError, ValueError)
@@ -90,15 +88,16 @@ def test_pixel_at_maxval_loads_as_one(pgm_path):
     assert load_image(pgm_path).values.tolist() == [[0.0, 3 / 7, 1.0]]
 
 
-def template_text():
+def rows_text():
     kps = (Keypoint(31.5, 31.5, 6.6), Keypoint(-0.0, 2.5, 1e-3, 6.2))
     descriptors = tuple(Descriptor(np.full(4, 0.25), 1, 4, kp) for kp in kps)
     buf = io.StringIO()
-    save_template(TemplateModel("t", descriptors), buf)
+    header = {"source": "t", "n": 2, "cells": 1, "bins": 4, "metric": "affinity"}
+    write_rows(buf, header, ((d.keypoint, d.degenerate, d.values) for d in descriptors))
     return buf.getvalue()
 
 
-TEMPLATE = template_text()
+TEMPLATE = rows_text()
 
 
 @settings(max_examples=300, deadline=None)
@@ -108,11 +107,10 @@ TEMPLATE = template_text()
 @example([(TEMPLATE.index("\n") + 5, "insert", TEXT_ALPHABET.index("\r"))], None)
 def test_mutated_rows_raise_only_value_errors(edits, cut):
     text = mutate(TEMPLATE, edits, cut, char)
-    for parse in (read_rows, load_template):
-        try:
-            parse(io.StringIO(text))
-        except ValueError:
-            pass
+    try:
+        read_rows(io.StringIO(text))
+    except ValueError:
+        pass
 
 
 def float_bits(x):
@@ -141,26 +139,3 @@ def test_rows_round_trip_bit_for_bit(rows):
             assert float_bits(getattr(kp2, name)) == float_bits(getattr(kp, name))
         assert flag2 is flag
         assert values2.tobytes() == np.asarray(values, dtype=float).tobytes()
-
-
-NONNEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(KEYPOINTS, st.lists(NONNEGATIVE, min_size=4, max_size=4)), min_size=1, max_size=4))
-@example([(Keypoint(1.0, 2.0, 3.0), [-0.0, 5e-324, 1e308, 2.2250738585072014e-308])])
-def test_templates_round_trip_bit_for_bit(samples):
-    # degenerate rows carry any nonnegative values, normalized or not
-    descriptors = tuple(Descriptor(np.array(v), 1, 4, kp, degenerate=True) for kp, v in samples)
-    buf = io.StringIO()
-    save_template(TemplateModel("src", descriptors), buf)
-    buf.seek(0)
-    back = load_template(buf)
-    assert back.source == "src" and len(back) == len(descriptors)
-    for d, d2 in zip(descriptors, back.descriptors):
-        assert d2.values.tobytes() == d.values.tobytes()
-        assert d2.degenerate and (d2.cells, d2.bins) == (1, 4)
-        assert all(
-            float_bits(getattr(d2.keypoint, n)) == float_bits(getattr(d.keypoint, n))
-            for n in ("u", "v", "base_size", "orientation")
-        )

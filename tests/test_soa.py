@@ -1,7 +1,8 @@
 """Orbit sampling: template construction, anti-aliased scores, max rule."""
 
-import io
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import numpy.testing as npt
@@ -16,6 +17,7 @@ from orbitpool.descriptor import (
     Keypoint,
     accumulate_grid,
     normalize_grid,
+    quarter_turn,
     single_size_descriptor,
     window_box,
 )
@@ -27,9 +29,7 @@ from orbitpool.soa import (
     anti_aliased_score,
     build_template,
     delta_perturbation,
-    load_template,
     perturbation_grid,
-    save_template,
     soa_likelihood,
 )
 
@@ -112,7 +112,11 @@ class TestBuildTemplate:
         for i, g in enumerate(samples.samples):
             warped, _ = warp(img, g)
             direct = fixed_frame_descriptor(warped)
-            npt.assert_array_equal(t.descriptors[i].values, direct.values)
+            if i == 0:
+                npt.assert_array_equal(t.descriptors[i].values, direct.values)
+            else:
+                # samples 1-3 are quarter turns of sample 0, permuted, not warped
+                npt.assert_allclose(t.descriptors[i].values, direct.values, rtol=0, atol=1e-12)
 
     def test_two_rotation_cloud_average_oracle(self):
         img = textures.filtered_noise(64, 64, seed=2)
@@ -271,12 +275,16 @@ class TestWindowedTemplate:
             build_template(img, kp, samples)
         assert str(exc.value) == message
 
-    def assert_matches_oracle(self, img, kp, samples, cfg=DescriptorConfig()):
+    def assert_matches_oracle(self, img, kp, samples, cfg=DescriptorConfig(), turned=()):
+        # warped samples equal the oracle bit for bit, the ``turned`` ones within 1e-12
         got = build_template(img, kp, samples, cfg)
         want = whole_image_template(img, kp, samples, cfg)
         assert len(got.descriptors) == len(want)
-        for d, values in zip(got.descriptors, want):
-            npt.assert_array_equal(d.values, values)
+        for i, (d, values) in enumerate(zip(got.descriptors, want)):
+            if i in turned:
+                npt.assert_allclose(d.values, values, rtol=0, atol=1e-12)
+            else:
+                npt.assert_array_equal(d.values, values)
 
     def test_unequal_cloud_weights(self):
         img = textures.filtered_noise(64, 64, seed=12)
@@ -338,13 +346,203 @@ class TestWindowedTemplate:
     @pytest.mark.parametrize("anti_alias", ["grid", "delta"])
     def test_orbit_template_configuration(self, anti_alias):
         img = textures.filtered_noise(96, 96, seed=[1, 0], smooth=1.8)
-        self.assert_matches_oracle(img, Keypoint(47.5, 47.5, 8.0), GroupSampleSet.default(anti_alias=anti_alias))
+        samples = GroupSampleSet.default(anti_alias=anti_alias)
+        # samples 3-11 are quarter turns of samples 0-2
+        self.assert_matches_oracle(img, Keypoint(47.5, 47.5, 8.0), samples, turned=range(3, 12))
 
     def test_too_small_image_names_whole_image(self):
         img = textures.filtered_noise(40, 2, seed=3)
         samples = GroupSampleSet((SimilarityTransform.identity(),), (delta_perturbation(),))
         with pytest.raises(ValueError, match="image too small for gradients: 40x2"):
             build_template(img, Keypoint(20.0, 0.5, 0.1), samples)
+
+
+def warped_samples(img, kp, samples, cfg):
+    """Build the template and return it with the indices of the samples whose views were warped."""
+    inverses = []
+    real = soa.warp_boxes
+
+    def spy(image, chunk, boxes):
+        inverses.extend(chunk)
+        return real(image, chunk, boxes)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(soa, "warp_boxes", spy)
+        template = build_template(img, kp, samples, cfg, source="spied")
+    assert template.source == "spied"
+    warped = [
+        i
+        for i, (g_i, cloud) in enumerate(zip(samples.samples, samples.anti_alias))
+        if all(g_i.compose(g).inverse() in inverses for g, _ in cloud)
+    ]
+    assert len(inverses) == sum(len(samples.anti_alias[i]) for i in warped)
+    return template, warped
+
+
+def turned_sample_sets(draw):
+    """A sample set with quarter turns in it: a named one, or turns of one random similarity."""
+    name = draw(st.sampled_from(["rot4", "rot8", "default", "turns"]))
+    anti_alias = draw(st.sampled_from(["delta", "grid"]))
+    if name == "rot4":
+        return GroupSampleSet.rotation_group(4, anti_alias=anti_alias)
+    if name == "rot8":
+        return GroupSampleSet.rotation_group(8, anti_alias=anti_alias)
+    if name == "default":
+        return GroupSampleSet.default(anti_alias=anti_alias)
+    g = SimilarityTransform(
+        math.exp(draw(st.floats(-0.2, 0.3))),
+        draw(st.floats(-0.3, 0.3)),
+        draw(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))),
+    )
+    turns = draw(st.lists(st.integers(0, 3), min_size=2, max_size=4))
+    samples = tuple(SimilarityTransform(rotation=k * math.pi / 2.0).compose(g) for k in turns)
+    return GroupSampleSet(samples, (soa._named_cloud(anti_alias),) * len(samples))
+
+
+@st.composite
+def turned_cases(draw):
+    """An image of either parity of w + h, an upright keypoint near its centre and a sample set with turns."""
+    w = draw(st.integers(40, 60))
+    h = draw(st.just(w) | st.integers(40, 60))
+    img = textures.filtered_noise(w, h, seed=draw(st.integers(0, 2**32 - 1)))
+    u = (w - 1) / 2.0 + draw(st.floats(-4.0, 4.0))
+    v = (h - 1) / 2.0 + draw(st.floats(-4.0, 4.0))
+    kp = Keypoint(u, v, draw(st.floats(1.5, 3.5)))
+    return img, kp, turned_sample_sets(draw), DescriptorConfig()
+
+
+class TestQuarterTurns:
+    """A sample that is a quarter turn of an earlier warped sample takes that
+    sample's grid, permuted, wherever the turned view provably reads the same
+    pixels; it then equals the warp within 1e-12, and warped samples stay bit
+    for bit."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_quarter_turn_is_the_turned_image_grid(self, k):
+        img = textures.oriented_noise(64, 64, seed=3, angle=0.4)
+        cfg = DescriptorConfig()
+        grid = accumulate_grid(compute_gradients(img), CENTER_KP, (SIZE,), (1.0,), cfg)
+        turned, _ = warp(img, SimilarityTransform(rotation=k * math.pi / 2.0))
+        want = accumulate_grid(compute_gradients(turned), CENTER_KP, (SIZE,), (1.0,), cfg)
+        assert np.abs(want - grid).max() > 1e-3
+        npt.assert_allclose(quarter_turn(grid, k, cfg), want, rtol=0, atol=1e-12)
+
+    def test_quarter_turn_moves_cells_and_bins(self):
+        # a vote in row 0, column 1, bin 0 turns clockwise on screen (v
+        # points down) to row 1, column 2, and its orientation to bin 2
+        cfg = DescriptorConfig(cells=3, bins=8)
+        grid = np.zeros((3, 3, 8))
+        grid[0, 1, 0] = 1.0
+        turned = quarter_turn(grid.ravel(), 1, cfg).reshape(3, 3, 8)
+        assert turned[1, 2, 2] == 1.0 and turned.sum() == 1.0
+        npt.assert_array_equal(quarter_turn(grid.ravel(), 4, cfg), grid.ravel())
+        with pytest.raises(ValueError, match="bins divisible by 4"):
+            quarter_turn(np.zeros(3 * 3 * 6), 1, DescriptorConfig(cells=3, bins=6))
+
+    @settings(max_examples=40, deadline=None)
+    @given(turned_cases())
+    def test_turned_samples_match_whole_image_warps(self, case):
+        img, kp, samples, cfg = case
+        try:
+            want = whole_image_template(img, kp, samples, cfg)
+        except SupportError as exc:
+            with pytest.raises(SupportError) as got:
+                build_template(img, kp, samples, cfg)
+            assert str(got.value) == str(exc)
+            return
+        got, warped = warped_samples(img, kp, samples, cfg)
+        if sum(img.values.shape) % 2:
+            assert warped == list(range(len(samples)))
+        for i, (d, values) in enumerate(zip(got.descriptors, want)):
+            if i in warped:
+                npt.assert_array_equal(d.values, values)
+            else:
+                npt.assert_allclose(d.values, values, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "samples, warped",
+        [
+            (GroupSampleSet.default(), [0, 1, 2]),
+            (GroupSampleSet.default(anti_alias="delta"), [0, 1, 2]),
+            (GroupSampleSet.rotation_group(8), [0, 1]),
+            (GroupSampleSet.rotation_group(8, anti_alias="delta"), [0, 1]),
+        ],
+    )
+    def test_views_warped(self, samples, warped):
+        # default() warps 27 of its 108 grid views and 3 of its 12 delta views
+        img = textures.filtered_noise(96, 96, seed=[1, 0], smooth=1.8)
+        _, got = warped_samples(img, Keypoint(47.5, 47.5, 8.0), samples, DescriptorConfig())
+        assert got == warped
+
+    @pytest.mark.parametrize(
+        "shape, kp, cfg",
+        [
+            # bins not divisible by 4
+            ((64, 64), CENTER_KP, DescriptorConfig(bins=6)),
+            # odd w + h: the turned lattice is not the lattice
+            ((63, 64), Keypoint(31.5, 31.0, 2.2), DescriptorConfig()),
+            # the view box is clipped at the left border
+            ((64, 64), Keypoint(6.3, 31.7, 2.0), DescriptorConfig()),
+            # the window's left edge, 31.3 - 3.3, lies on a pixel
+            ((64, 64), Keypoint(31.3, 31.7, 2.2), DescriptorConfig()),
+            # the middle cell boundary, 31.0 - 3.3 + 2 * 1.65, lies on a pixel
+            ((64, 64), Keypoint(31.0, 31.7, 2.2), DescriptorConfig()),
+            # the box starts at column 0, on the domain edge
+            ((64, 64), Keypoint(7.4, 31.7, 2.0), DescriptorConfig()),
+            # a rotated keypoint
+            ((64, 64), Keypoint(31.2, 31.7, 2.2, 0.5), DescriptorConfig()),
+        ],
+    )
+    @pytest.mark.parametrize("anti_alias", ["delta", "grid"])
+    def test_broken_condition_takes_the_warp(self, shape, kp, cfg, anti_alias):
+        h, w = shape
+        img = textures.filtered_noise(w, h, seed=21)
+        samples = GroupSampleSet.rotation_group(4, anti_alias=anti_alias)
+        got, warped = warped_samples(img, kp, samples, cfg)
+        assert warped == [0, 1, 2, 3]
+        for d, values in zip(got.descriptors, whole_image_template(img, kp, samples, cfg)):
+            npt.assert_array_equal(d.values, values)
+
+    def test_box_a_hair_inside_the_domain_is_turned(self):
+        # as the domain-edge case above, one pixel further in
+        img = textures.filtered_noise(64, 64, seed=21)
+        kp = Keypoint(8.4, 31.7, 2.0)
+        samples = GroupSampleSet.rotation_group(4, anti_alias="delta")
+        _, warped = warped_samples(img, kp, samples, DescriptorConfig())
+        assert warped == [0]
+
+    @pytest.mark.parametrize(
+        "views, message",
+        [
+            # sample 0 is a sound source and sample 1 its turn, so sample 2 fails first
+            (
+                [
+                    SimilarityTransform(),
+                    SimilarityTransform(rotation=math.pi / 2.0),
+                    SimilarityTransform(translation=(-27.0, 0.0)),
+                ],
+                "window sides out of bounds at (4.5, 31.5) rotated by 0.000 in the 64x64 image: 12.00",
+            ),
+            # sample 0 fails, so sample 1, its turn, is warped and fails too
+            (
+                [
+                    SimilarityTransform(scale=0.5, translation=(10.0, 5.0)),
+                    SimilarityTransform(scale=0.5, rotation=math.pi / 2.0, translation=(-5.0, 10.0)),
+                    SimilarityTransform(),
+                ],
+                "warped support at (41.5, 36.5) leaves the image domain",
+            ),
+        ],
+    )
+    def test_first_failing_view_raises(self, views, message):
+        img = textures.filtered_noise(64, 64, seed=3)
+        kp = Keypoint(31.5, 31.5, 4.0 if views[0].scale == 1.0 else 12.0)
+        samples = GroupSampleSet(tuple(views), (delta_perturbation(),) * len(views))
+        with pytest.raises(SupportError) as want:
+            whole_image_template(img, kp, samples, DescriptorConfig())
+        with pytest.raises(SupportError) as got:
+            build_template(img, kp, samples)
+        assert str(got.value) == str(want.value) == message
 
 
 class TestAntiAliasedScore:
@@ -397,6 +595,19 @@ class TestSOAResult:
     def test_tie_goes_to_first(self):
         r = SOAResult(0.9, 1, (0.9, 0.9))
         assert r.argmax_index == 1
+
+    def test_frozen_value_object(self):
+        r = SOAResult(0.9, 2, [0.25, 0.9, 0.5])
+        assert r.per_sample_scores == (0.25, 0.9, 0.5)
+        assert all(type(x) is float for x in r.per_sample_scores)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            r.value = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            r._scores[0] = 1.0
+        assert r == SOAResult(0.9, 2, (0.25, 0.9, 0.5)) and hash(r) == hash(SOAResult(0.9, 2, (0.25, 0.9, 0.5)))
+        assert r != SOAResult(0.9, 2, (0.25, 0.9, 0.75))
+        assert pickle.loads(pickle.dumps(r)) == r
+        assert repr(r) == "SOAResult(value=0.9, argmax_index=2, per_sample_scores=(0.25, 0.9, 0.5))"
 
 
 class TestSOALikelihood:
@@ -479,76 +690,3 @@ class TestSOALikelihood:
         t = build_template(img, CENTER_KP, GroupSampleSet.rotation_group(4))
         q = fixed_frame_descriptor(img)
         assert soa_likelihood(t, q) == soa_likelihood(t, q)
-
-
-class TestTemplateIO:
-    def test_roundtrip(self):
-        img = textures.filtered_noise(64, 64, seed=10)
-        t = build_template(
-            img, CENTER_KP, GroupSampleSet.rotation_group(4, anti_alias="delta"), source="noise-10"
-        )
-        buf = io.StringIO()
-        save_template(t, buf)
-        buf.seek(0)
-        back = load_template(buf)
-        assert back.source == "noise-10"
-        assert len(back) == 4
-        for orig, parsed in zip(t.descriptors, back.descriptors):
-            npt.assert_array_equal(parsed.values, orig.values)
-
-    def test_count_mismatch_rejected(self):
-        img = textures.filtered_noise(64, 64, seed=10)
-        t = build_template(img, CENTER_KP, GroupSampleSet.rotation_group(2, anti_alias="delta"))
-        buf = io.StringIO()
-        save_template(t, buf)
-        text = buf.getvalue().replace("n=2", "n=3")
-        with pytest.raises(ValueError):
-            load_template(io.StringIO(text))
-
-    def test_indexed_rows_rejected(self):
-        img = textures.filtered_noise(64, 64, seed=10)
-        t = build_template(img, CENTER_KP, GroupSampleSet.rotation_group(2, anti_alias="delta"))
-        buf = io.StringIO()
-        save_template(t, buf)
-        header, *rows = buf.getvalue().splitlines()
-        text = "\n".join([header] + [f"{i},{row}" for i, row in enumerate(rows, start=1)])
-        with pytest.raises(ValueError):
-            load_template(io.StringIO(text))
-
-    def test_non_finite_value_rejected(self):
-        img = textures.filtered_noise(64, 64, seed=10)
-        t = build_template(img, CENTER_KP, GroupSampleSet.rotation_group(2, anti_alias="delta"))
-        buf = io.StringIO()
-        save_template(t, buf)
-        header, first, *rest = buf.getvalue().splitlines()
-        first = first.rsplit(",", 1)[0] + ",nan"
-        with pytest.raises(ValueError, match="finite"):
-            load_template(io.StringIO("\n".join([header, first, *rest])))
-
-    @pytest.mark.parametrize("field", ["n", "cells", "bins"])
-    def test_missing_header_field_named(self, field):
-        img = textures.filtered_noise(64, 64, seed=10)
-        t = build_template(img, CENTER_KP, GroupSampleSet.rotation_group(2, anti_alias="delta"))
-        buf = io.StringIO()
-        save_template(t, buf)
-        header, *rows = buf.getvalue().splitlines()
-        header = ",".join(part for part in header.split(",") if not part.startswith(f"{field}="))
-        with pytest.raises(ValueError, match=f"template header lacks {field}"):
-            load_template(io.StringIO("\n".join([header, *rows])))
-
-    @pytest.mark.parametrize("cells, bins", [(0, 8), (-2, 8), (4, 0)])
-    def test_nonpositive_grid_rejected(self, cells, bins):
-        rows = "\n".join(["0.0,0.0,1.0,0.0,1," + ",".join(["0.0"] * 128)] * 2)
-        with pytest.raises(ValueError, match="positive cells and bins"):
-            load_template(io.StringIO(f"source=x,n=2,cells={cells},bins={bins}\n{rows}"))
-
-    @pytest.mark.parametrize("source", ["shots/a,b.pgm", "x\ny", "x\ry"])
-    def test_header_separators_in_source_rejected(self, source):
-        img = textures.filtered_noise(64, 64, seed=10)
-        t = build_template(
-            img, CENTER_KP, GroupSampleSet.rotation_group(1, anti_alias="delta"), source=source
-        )
-        buf = io.StringIO()
-        with pytest.raises(ValueError):
-            save_template(t, buf)
-        assert buf.getvalue() == ""
