@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import csv
 import math
+import pickle
 from dataclasses import dataclass
-from typing import ClassVar, Dict, Iterable, List, Mapping, Sequence, TextIO, Tuple, Union
+from functools import lru_cache
+from typing import ClassVar, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, TextIO, Tuple, Union
 
 import numpy as np
 from scipy import ndimage
@@ -314,6 +316,19 @@ def window_inside(kp: Keypoint, size: float, shape: Tuple[int, int]) -> bool:
 # keypoints whose windows are gathered and voted together
 GRID_CHUNK = 8
 
+# plans each plan cache keeps (this one's and ``soa``'s template plans)
+PLANS = 8
+
+
+def frozen(plan):
+    """``plan`` with every array in it, through tuples, lists and named tuples, made read-only."""
+    if isinstance(plan, np.ndarray):
+        plan.setflags(write=False)
+    elif isinstance(plan, (tuple, list)):
+        for part in plan:
+            frozen(part)
+    return plan
+
 
 def accumulate_pools(
     field: GradientField,
@@ -345,7 +360,28 @@ def accumulate_pools(
     holding it bit for bit, and the kernel once per pixel of a chunk.
     Either way each grid is the same sum, in the same order, as for its
     keypoint and pool alone.
+
+    All that reads no pixel is a plan (``plan_pools``): the support
+    checks, boxes, reaches and corners, the 1-D group key, the chunk
+    lattices, the upright cell weights and the pixels of the kernel
+    table.  It depends only on the field's shape, the keypoints'
+    positions and orientations, the sides, the weights and ``cfg``.  The
+    last ``PLANS`` plans are kept, keyed by the pickle of those
+    arguments, which holds every float by its bits (-0.0 is not 0.0),
+    and reused only for exactly the same ones; ``pool_pass`` reads the
+    pixels.  A plan holds, per upright keypoint, 8 B per box pixel and
+    C x (4R + 4) x 8 B per side (R its largest reach), 8 B per box pixel
+    of a rotated one and up to 8 B per image pixel.  For ``sift`` and
+    ``dsp-sift`` at base size 8 that is about 25 KB per keypoint, so a
+    stride-8 lattice on a 512 px image makes a 100 MB plan, and
+    ``PLANS`` times the largest plan is the cache's worst case.
     """
+    plan = _cached_pool_plan(pickle.dumps((field.magnitude.shape, *_checked_pools(kps, pools), cfg)))
+    return pool_pass(field, plan, cfg)
+
+
+def _checked_pools(kps, pools):
+    """The keypoints' (u, v, orientation) rows and the pools as arrays, or the error for malformed pools."""
     checked = []
     for sides, weights in pools:
         weights = np.asarray(weights, dtype=float)
@@ -357,14 +393,44 @@ def accumulate_pools(
         if weights.ndim == 2 and len(weights) != len(kps):
             raise ValueError(f"{len(weights)} rows of weights for {len(kps)} keypoints")
         checked.append((sides, weights))
-    *layers, h, w = field.magnitude.shape
-    if layers and layers != [len(kps)]:
-        raise ValueError(f"{layers[0]} field layers for {len(kps)} keypoints")
-    largest = np.array([sides.max(axis=1) for sides, _ in checked]).reshape(len(pools), len(kps))
+    return np.array([(kp.u, kp.v, kp.orientation) for kp in kps], dtype=float).reshape(-1, 3), checked
+
+
+class PoolPlan(NamedTuple):
+    """What ``accumulate_pools`` works out without reading a pixel.
+
+    ``keeps`` holds each pool's mask over the ``gathered`` keypoints and
+    ``used`` the pixels of the kernel table or None; upright chunks index
+    their box pixels into ``used`` if set, else into the flat field.
+    """
+
+    gathered: np.ndarray
+    keeps: List[np.ndarray]
+    rotated: list
+    used: Optional[np.ndarray]
+    upright: list
+
+
+def plan_pools(shape, kps, pools, cfg: DescriptorConfig) -> PoolPlan:
+    """The plan of ``accumulate_pools`` over a field of ``shape``, built afresh, not cached."""
+    return frozen(_pool_plan(shape, *_checked_pools(kps, pools), cfg))
+
+
+@lru_cache(maxsize=PLANS)
+def _cached_pool_plan(geometry: bytes) -> PoolPlan:
+    """The plan of the pickled (shape, keypoint rows, checked pools, cfg): a pickle holds every float by its bits."""
+    return frozen(_pool_plan(*pickle.loads(geometry)))
+
+
+def _pool_plan(shape, points, checked, cfg):
+    """The ``PoolPlan`` over a field of ``shape`` of ``_checked_pools``' keypoint rows and pools."""
+    *layers, h, w = shape
+    if layers and layers != [len(points)]:
+        raise ValueError(f"{layers[0]} field layers for {len(points)} keypoints")
+    largest = np.array([sides.max(axis=1) for sides, _ in checked]).reshape(len(checked), len(points))
     # _window_extent and _inside of each pool's largest window, to the bit
-    u, v, theta, c, s = np.array(
-        [(kp.u, kp.v, kp.orientation, abs(math.cos(kp.orientation)), abs(math.sin(kp.orientation))) for kp in kps]
-    ).reshape(-1, 5).T
+    u, v, theta = points.T
+    c, s = np.array([(abs(math.cos(t)), abs(math.sin(t))) for t in theta.tolist()]).reshape(-1, 2).T
     with np.errstate(invalid="ignore"):  # an overflowing side times a zero sine
         umin, umax, vmin, vmax = _extent(u, v, c, s, largest)
     keeps = (umin >= 0) & (umax <= w - 1) & (vmin >= 0) & (vmax <= h - 1)
@@ -383,24 +449,21 @@ def accumulate_pools(
         columns = [distinct.setdefault(sides[gathered, j].tobytes(), len(distinct)) for j in range(sides.shape[1])]
         plans.append((keep[gathered], top[gathered], np.broadcast_to(weights, sides.shape)[gathered], columns))
     side_columns = np.array([np.frombuffer(column) for column in distinct]).T.reshape(len(gathered), len(distinct))
-    grids = [np.empty((len(gathered), cfg.length)) for _ in pools]
     upright = theta == 0.0
     rotated = np.flatnonzero(~upright)
+    rotated_chunks = []
     for chunk in (rotated[start : start + GRID_CHUNK] for start in range(0, len(rotated), GRID_CHUNK)):
         plan = [(keep[chunk], top[chunk], weights[chunk], columns) for keep, top, weights, columns in plans]
         lattice = _box_lattice((h, w), boxes[chunk].T, origin[chunk])
-        pixels = _window_pixels(field, u[chunk], v[chunk], theta[chunk], gathered_side[chunk], lattice)
-        chunk_grids = _vote_grids(field, pixels, theta[chunk], side_columns[chunk], plan, cfg)
-        for grid, (keep, *_), rows in zip(grids, plan, chunk_grids):
-            grid[chunk[keep]] = rows
+        rotated_chunks.append((chunk, plan, lattice, u[chunk], v[chunk], theta[chunk], gathered_side[chunk], side_columns[chunk]))
     # a pool reads an upright keypoint over the box of 2r + 2 pixels a side
     # from r left of and above the keypoint's pixel, r half the pool's
     # largest side rounded up (-1 where the pool drops the keypoint), so
     # every product has a shape that the keypoint and pool alone set
     reach = np.array([np.where(keep, np.ceil(top / 2.0), -1) for keep, top, _, _ in plans], dtype=np.intp)
-    reach = reach.reshape(len(pools), len(gathered)).T
+    reach = reach.reshape(len(checked), len(gathered)).T
     corner = np.floor(np.array([u, v])).astype(np.intp) - reach.max(axis=1, initial=0)
-    table = None
+    used = index = None
     if not layers and upright.sum() > 1:
         # an upright window's relative orientation is its pixel's own: one
         # kernel column per pixel that some upright box holds, for all chunks
@@ -410,7 +473,6 @@ def accumulate_pools(
         used = np.flatnonzero(held)
         index = np.zeros(h * w, dtype=np.intp)
         index[used] = np.arange(used.size)
-        table = index, vote_kernel(field.orientation.reshape(-1)[used], cfg.kernel(), cfg.bins)
     # keypoints of the same boxes are taken GRID_CHUNK at a time, each pool's
     # box centred in one of 2R + 2 pixels a side, R their largest r.  Their
     # rows of r are told apart by a 1-D key, the dense rank of the rows in
@@ -420,6 +482,7 @@ def accumulate_pools(
     key = np.zeros(upright_at.size, dtype=np.intp)
     for column in reach[upright_at].T:
         key = np.unique(key * (column.max(initial=0) + 2) + column + 1, return_inverse=True)[1]
+    upright_chunks = []
     for g in range(key.max(initial=-1) + 1):
         group = upright_at[key == g]
         signature = reach[group[0]].tolist()
@@ -427,11 +490,28 @@ def accumulate_pools(
         holding = [p for p, r in enumerate(signature) if r >= 0]
         for chunk in (group[start : start + GRID_CHUNK] for start in range(0, len(group), GRID_CHUNK)):
             u0, v0 = corner[:, chunk]
-            lattice = _box_lattice((h, w), (u0, u0 + size - 1, v0, v0 + size - 1), origin[chunk])
+            cols, rows, pix = _box_lattice((h, w), (u0, u0 + size - 1, v0, v0 + size - 1), origin[chunk])
             taken = [(signature[p], side_columns[chunk][:, plans[p][3]], plans[p][2][chunk]) for p in holding]
-            for p, rows in zip(holding, _upright_grids(field, u[chunk], v[chunk], lattice, taken, cfg, table)):
-                grids[p][chunk] = rows
-    return [(gathered[keep].tolist(), grid[keep]) for (keep, *_), grid in zip(plans, grids)]
+            operands = _upright_weights(cols, rows, u[chunk], v[chunk], taken, cfg)
+            upright_chunks.append((chunk, holding, pix if index is None else index[pix], operands))
+    return PoolPlan(gathered, [keep for keep, *_ in plans], rotated_chunks, used, upright_chunks)
+
+
+def pool_pass(field: GradientField, plan: PoolPlan, cfg: DescriptorConfig) -> List[Tuple[List[int], np.ndarray]]:
+    """The pixel half of ``accumulate_pools``: its result from a field and that field's plan."""
+    grids = [np.empty((len(plan.gathered), cfg.length)) for _ in plan.keeps]
+    for chunk, pools, lattice, u, v, theta, largest, sides in plan.rotated:
+        pixels = _window_pixels(field, u, v, theta, largest, lattice)
+        for grid, (keep, *_), rows in zip(grids, pools, _vote_grids(field, pixels, theta, sides, pools, cfg)):
+            grid[chunk[keep]] = rows
+    table = None
+    if plan.used is not None:
+        valid, magnitude, orientation = (x.reshape(-1)[plan.used] for x in (field.valid, field.magnitude, field.orientation))
+        table = np.where(valid, magnitude, 0.0), vote_kernel(orientation, cfg.kernel(), cfg.bins)
+    for chunk, holding, pix, operands in plan.upright:
+        for p, rows in zip(holding, _upright_grids(field, pix, operands, cfg, table)):
+            grids[p][chunk] = rows
+    return [(plan.gathered[keep].tolist(), grid[keep]) for keep, grid in zip(plan.keeps, grids)]
 
 
 def _box_lattice(shape, box, origin):
@@ -469,40 +549,58 @@ def _cell_weights(offsets, sides, cells, kappa_fraction):
     return np.where(c[:, :, None, :] == np.arange(cells)[:, None], gauss[:, :, None, :], 0.0)
 
 
-def _upright_grids(field, u, v, lattice, pools, cfg, table):
-    """Raw grids of one chunk of upright keypoints, for each pool, from separable weights.
+def _upright_weights(cols, rows, u, v, pools, cfg):
+    """The pixel-free operands of ``_upright_grids`` for one chunk of upright keypoints.
 
     A pool is (r, its sides, its weights), the last two a row per
-    keypoint, and it reads the box of 2r + 2 pixels a side centred in
-    the ``lattice`` boxes.  Each box row votes its pixels' magnitudes
-    times their column weights into (side, cell column, bin) through
-    ``soft_vote``'s product, the row weights sum the rows into each
-    side's grid, and the pool's weights sum its sides, in side order.
-    ``table``, if not None, is (the column of each pixel, a matrix of
-    kernel columns), and gives the same products as ``soft_vote``.
+    keypoint, and it reads the box of 2r + 2 pixels a side centred in the
+    chunk's boxes of ``cols`` and ``rows``.  Returns, per pool, its box
+    as a slice, its column weights as ``soft_vote``'s weights, its row
+    weights and its weights.
     """
-    cols, rows, pix = lattice
-    (k, size), R, C = cols.shape, cols.shape[1] // 2 - 1, cfg.cells
+    (k, size), C = cols.shape, cfg.cells
+    R = size // 2 - 1
     # column weights, then row weights, of every pool's sides over the whole box
     offsets = np.concatenate((cols - u[:, None], rows - v[:, None]), axis=1)
     axes = _cell_weights(offsets, np.concatenate([sides for _, sides, _ in pools], axis=1), C, cfg.kappa_fraction)
-    mag = np.where(field.valid.reshape(-1)[pix], field.magnitude.reshape(-1)[pix], 0.0)
-    if table is None:
-        orientation = field.orientation.reshape(-1)[pix]
-    else:
-        kernel = np.moveaxis(table[1].take(table[0][pix], axis=1), 0, 2)
     out, first = [], 0
     for r, sides, weights in pools:
         S, box, n = sides.shape[1], slice(R - r, R + r + 2), 2 * r + 2
         own, first = axes[:, first : first + S], first + S
         across, down = own[..., box], own[..., size + box.start : size + box.stop]
-        votes = np.ascontiguousarray(mag[:, box, box])[:, :, None, :] * across.reshape(k, 1, S * C, n)
+        out.append((box, across.reshape(k, 1, S * C, n), down, weights))
+    return out
+
+
+def _upright_grids(field, pix, pools, cfg, table):
+    """Raw grids of one chunk of upright keypoints, for each pool, from separable weights.
+
+    ``pix`` holds the flat field index of each box pixel and ``pools``
+    comes from ``_upright_weights``.  Each box row votes its pixels'
+    magnitudes times their column weights into (side, cell column, bin)
+    through ``soft_vote``'s product, the row weights sum the rows into
+    each side's grid, and the pool's weights sum its sides, in side
+    order.  ``table``, if not None, is the valid magnitude and the
+    kernel column of each of a set of pixels, ``pix`` indexing into
+    them; they give the same products as ``soft_vote``.
+    """
+    k = len(pix)
+    if table is None:
+        mag = np.where(field.valid.reshape(-1)[pix], field.magnitude.reshape(-1)[pix], 0.0)
+        orientation = field.orientation.reshape(-1)[pix]
+    else:
+        mag = table[0][pix]
+        kernel = np.moveaxis(table[1].take(pix, axis=1), 0, 2)
+    out = []
+    for box, across, down, weights in pools:
+        votes = np.ascontiguousarray(mag[:, box, box])[:, :, None, :] * across
         if table is None:
             per_row = soft_vote(orientation[:, box, box], votes, cfg.kernel(), cfg.bins)
         else:
             # the same product as soft_vote's, from the table's columns
             per_row = np.swapaxes(kernel[:, box, :, box] @ np.swapaxes(votes, -1, -2), -1, -2)
-        per_row = per_row.reshape(k, n, S, C * cfg.bins).transpose(0, 2, 1, 3)
+        S = down.shape[1]
+        per_row = per_row.reshape(k, box.stop - box.start, S, cfg.cells * cfg.bins).transpose(0, 2, 1, 3)
         grids = (down @ per_row).reshape(k, S, cfg.length)
         out.append(sum(weights[:, j, None] * grids[:, j] for j in range(S)))
     return out

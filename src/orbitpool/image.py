@@ -265,9 +265,7 @@ def gradient_field_of_array(values):
     whose layer k is, bit for bit, the field of layer k alone.
     """
     values = np.asarray(values, dtype=np.float64)
-    h, w = values.shape[-2:]
-    if w < 3 or h < 3:
-        raise ValueError(f"image too small for gradients: {w}x{h}")
+    check_gradient_shape(values.shape)
     sm = blur_array(values, PRE_SIGMA)
     du = np.zeros_like(sm)
     dv = np.zeros_like(sm)
@@ -281,6 +279,13 @@ def gradient_field_of_array(values):
     valid[..., 0, :] = valid[..., -1, :] = False
     valid[..., :, 0] = valid[..., :, -1] = False
     return GradientField(mag, ori, valid)
+
+
+def check_gradient_shape(shape):
+    """Raise the ``ValueError`` of ``gradient_field_of_array`` for arrays of ``shape`` too small for gradients."""
+    h, w = shape[-2:]
+    if w < 3 or h < 3:
+        raise ValueError(f"image too small for gradients: {w}x{h}")
 
 
 def compute_gradients(img):
@@ -352,9 +357,23 @@ def warp_boxes(img, inverses, boxes):
     point falls outside the image; those values are 0).  Layer k is the
     ``[v0:v1+1, u0:u1+1]`` crop of the whole-image ``warp`` by that view's
     transform, bit for bit.
+
+    ``warp_sources`` is the half that reads no pixel, which a caller
+    warping many images of one shape alike computes once; ``resample``
+    is the other.
     """
-    values = img.values
-    h, w = values.shape
+    sources = warp_sources(img.values.shape, inverses, boxes)
+    return resample(img.values, sources), sources[2]
+
+
+def warp_sources(shape, inverses, boxes):
+    """The pixel-free half of ``warp_boxes`` for an image of ``shape`` (height, width).
+
+    Returns the ``(V, bh, bw)`` source coordinates su and sv of every
+    output pixel, clipped into the image, and the masks of the points
+    that were inside it before clipping.
+    """
+    h, w = shape
     if len(inverses) != len(boxes):
         raise ValueError(f"{len(inverses)} transforms for {len(boxes)} boxes")
     for box in boxes:
@@ -365,7 +384,7 @@ def warp_boxes(img, inverses, boxes):
     sizes = {(int(a), int(b)) for a, b in zip(v1 - v0 + 1, u1 - u0 + 1)}
     if len(sizes) != 1:
         raise ValueError(f"need boxes of one shape, got {sorted(sizes)}")
-    cu, cv = img.center
+    cu, cv = (w - 1) / 2.0, (h - 1) / 2.0
     top = v0.min()
     uu, vv = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(top, v1.max() + 1, dtype=np.float64))
     grid = np.stack([uu - cu, vv - cv], axis=-1)
@@ -377,9 +396,15 @@ def warp_boxes(img, inverses, boxes):
         np.add(src[..., 0], cu, out=su[k])
         np.add(src[..., 1], cv, out=sv[k])
     inside = (su >= -_SNAP_EPS) & (su <= w - 1 + _SNAP_EPS) & (sv >= -_SNAP_EPS) & (sv <= h - 1 + _SNAP_EPS)
-    out = _bilinear_sample(values, np.clip(su, 0.0, w - 1.0), np.clip(sv, 0.0, h - 1.0))
+    return np.clip(su, 0.0, w - 1.0), np.clip(sv, 0.0, h - 1.0), inside
+
+
+def resample(values, sources):
+    """The pixel half of ``warp_boxes``: sample ``values`` at ``warp_sources``' points, 0 outside, clipped into [0, 1]."""
+    su, sv, inside = sources
+    out = _bilinear_sample(values, su, sv)
     out[~inside] = 0.0
-    return np.clip(out, 0.0, 1.0, out=out), inside
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 def patch_inside(center, side, out_side, shape):

@@ -16,20 +16,26 @@ orientation, so the transform itself is what distinguishes the views.
 from __future__ import annotations
 
 import math
+import pickle
 from dataclasses import FrozenInstanceError, dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .image import GRADIENT_MARGIN, ImageBuffer, SimilarityTransform, SupportError, gradient_field_of_array, warp_boxes
+from .image import GRADIENT_MARGIN, ImageBuffer, SimilarityTransform, SupportError, check_gradient_shape, warp_sources
+from .image import gradient_field_of_array, resample
 from .descriptor import (
     GRID_CHUNK,
+    PLANS,
     Descriptor,
     DescriptorConfig,
     Keypoint,
     _support_error,
-    accumulate_pools,
+    frozen,
     normalize_grid,
+    plan_pools,
+    pool_pass,
     quarter_turn,
     window_box,
     window_inside,
@@ -185,30 +191,29 @@ def _uncovered(mask: np.ndarray, kp: Keypoint, size: float, shape, box) -> Optio
     return SupportError(f"warped support at ({kp.u:.1f}, {kp.v:.1f}) leaves the image domain")
 
 
-def _view_grids(img: ImageBuffer, views, size: float, cfg: DescriptorConfig):
-    """Raw grids of views whose boxes share one shape, in one warp, gradient pass and vote.
+def _chunk_plan(shape, views, size: float, cfg: DescriptorConfig):
+    """The pixel-free part of warping, differentiating and voting views whose boxes share one shape.
 
-    Each view is (transform, moved keypoint, box, weight).
-    Returns the grids, one row per view, and each view's error or None:
-    an uncovered window, then a field too small for gradients, then a
-    window leaving the image, in the order a lone view meets them.
+    Each view is (transform, moved keypoint, box, weight).  Returns the
+    chunk's ``warp_sources``, the pool plan of its stack, in which view k
+    reads layer k (None if too small for gradients), and each view's
+    error or None: an uncovered window, then a field too small for
+    gradients, then a window leaving the image, as a lone view meets them.
     """
     transforms, moved, boxes, weights = zip(*views)
-    shape = img.values.shape
-    warped, inside = warp_boxes(img, [g.inverse() for g in transforms], boxes)
-    errors = [_uncovered(mask, m, size, shape, box) for mask, m, box in zip(inside, moved, boxes)]
-    out = np.zeros((len(views), cfg.length))
+    sources = warp_sources(shape, [g.inverse() for g in transforms], boxes)
+    errors = [_uncovered(mask, m, size, shape, box) for mask, m, box in zip(sources[2], moved, boxes)]
     try:
-        field = gradient_field_of_array(warped)
+        check_gradient_shape(sources[2].shape)
     except ValueError as exc:
-        return out, [exc if e is None else e for e in errors]
+        return sources, None, [exc if e is None else e for e in errors]
     shifted = [_shifted(m, box) for m, box in zip(moved, boxes)]
-    kept, grids = accumulate_pools(field, shifted, [([[size]] * len(views), np.array(weights)[:, None])], cfg)[0]
-    out[kept] = grids
+    pools = plan_pools(sources[2].shape, shifted, [([[size]] * len(views), np.array(weights)[:, None])], cfg)
+    kept = set(pools.gathered[pools.keeps[0]].tolist())
     for k, kp in enumerate(shifted):
         if errors[k] is None and k not in kept:
-            errors[k] = _support_error(kp, (size,), warped.shape[1:])
-    return out, errors
+            errors[k] = _support_error(kp, (size,), sources[2].shape[1:])
+    return sources, pools, errors
 
 
 def _turn(point, k: int, center) -> Tuple[float, float]:
@@ -307,18 +312,65 @@ def build_template(
     bit the whole-image warp's.
 
     The warped views are planned first, then grouped by box shape and
-    taken ``GRID_CHUNK`` at a time: one ``warp_boxes`` call, one gradient
-    pass over the chunk's stack and one ``accumulate_pools`` call in
-    which view k reads layer k.  Every layer, and every view's grid, is
+    taken ``GRID_CHUNK`` at a time: one warp of the chunk's boxes (the
+    two halves of ``warp_boxes``), one gradient pass over its stack and
+    one ``accumulate_pools`` pass in which view k reads layer k.  Every layer, and every view's grid, is
     bit for bit that of the view alone, and only one chunk's layers are
     alive at a time.  If a view fails, the error raised is the first
     failing view's, in sample and cloud order, as a view-by-view loop
     would raise it; support errors name the keypoint in whole-image
     coordinates.
+
+    None of this planning reads a pixel: the turned samples, the chunks
+    with their ``warp_sources`` and pool plans, and the error, if any,
+    depend only on the image shape, ``kp``, ``samples`` and ``cfg``.  The
+    last ``PLANS`` plans are kept, keyed as in ``accumulate_pools``, and
+    reused only for exactly the same arguments, so an image of a known
+    geometry is only resampled, differentiated, voted, pooled, turned
+    and normalized; an error is raised afresh each time.  A plan holds
+    17 B per box pixel of each warped view plus the chunks' pool plans:
+    0.7 MB for ``GroupSampleSet.default()`` at a 24 px window, and
+    ``PLANS`` times the largest plan is the cache's worst case.
     """
+    plan = _template_plan(pickle.dumps((img.values.shape, kp, samples, cfg)))
+    if isinstance(plan, _Failure):
+        raise plan.kind(*plan.args)
+    count, chunks, spans = plan
+    grids = np.zeros((count, cfg.length))
+    for rows, sources, pools in chunks:
+        ((_, chunk_grids),) = pool_pass(gradient_field_of_array(resample(img.values, sources)), pools, cfg)
+        grids[rows] = chunk_grids
+    pooled = []
+    for span in spans:
+        if isinstance(span, slice):
+            total = np.zeros(cfg.length)
+            for row in grids[span]:
+                total += row
+        else:
+            total = quarter_turn(pooled[span[0]], span[1], cfg)
+        pooled.append(total)
+    return TemplateModel(source, tuple(normalize_grid(total, kp, cfg) for total in pooled))
+
+
+class _Failure(NamedTuple):
+    """An error that a plan decides, kept as its type and arguments so that each raise is a fresh exception."""
+
+    kind: type
+    args: tuple
+
+
+@lru_cache(maxsize=PLANS)
+def _template_plan(geometry: bytes):
+    """What ``build_template`` works out without reading a pixel, or the ``_Failure`` it raises.
+
+    A plan is (the number of views, the warped chunks, each sample's
+    pooling), a chunk (its views' rows, its ``warp_sources`` and its pool
+    plan) and a sample's pooling the slice of its views' rows or (the
+    earlier sample it is a quarter turn of, the turns).
+    """
+    shape, kp, samples, cfg = pickle.loads(geometry)
     size = cfg.support_factor * kp.base_size
-    shape = img.values.shape
-    center = img.center
+    center = ((shape[1] - 1) / 2.0, (shape[0] - 1) / 2.0)
     turnable = cfg.bins % 4 == 0 and sum(shape) % 2 == 0 and kp.orientation == 0.0
     views, errors, spans, turned, sound = [], [], [], [], {}
     for g_i, cloud in zip(samples.samples, samples.anti_alias):
@@ -357,27 +409,19 @@ def build_template(
             if views[i] is not None and turn is None:
                 u0, u1, v0, v1 = views[i][2]
                 groups.setdefault((v1 - v0, u1 - u0), []).append(i)
-    grids = np.zeros((len(views), cfg.length))
+    chunks = []
     for members in groups.values():
         for start in range(0, len(members), GRID_CHUNK):
             chunk = members[start : start + GRID_CHUNK]
-            chunk_grids, chunk_errors = _view_grids(img, [views[i] for i in chunk], size, cfg)
-            grids[chunk] = chunk_grids
+            sources, pools, chunk_errors = _chunk_plan(shape, [views[i] for i in chunk], size, cfg)
+            chunks.append((np.array(chunk), sources, pools))
             for i, error in zip(chunk, chunk_errors):
                 errors[i] = error
     failed = next((e for e in errors if e is not None), None)
     if failed is not None:
-        raise failed
-    pooled = []
-    for span, turn in zip(spans, turned):
-        if turn is None:
-            total = np.zeros(cfg.length)
-            for row in grids[span]:
-                total += row
-        else:
-            total = quarter_turn(pooled[turn[0]], turn[1], cfg)
-        pooled.append(total)
-    return TemplateModel(source, tuple(normalize_grid(total, kp, cfg) for total in pooled))
+        return _Failure(type(failed), failed.args)
+    pooling = [span if turn is None else turn for span, turn in zip(spans, turned)]
+    return frozen((len(views), chunks, pooling))
 
 
 def anti_aliased_score(template: TemplateModel, index: int, query: Descriptor) -> float:
@@ -394,12 +438,13 @@ def anti_aliased_score(template: TemplateModel, index: int, query: Descriptor) -
 class SOAResult:
     """Max score over template samples, with the winning 1-based index.
 
-    The scores are kept as one read-only float64 array, which is far
-    smaller than a tuple of floats; ``per_sample_scores`` gives the tuple.
-    Instances are immutable and compare equal field by field.
+    Only the scores are kept, as the bytes of a float64 array, far smaller
+    than a tuple of floats; ``value``, ``argmax_index`` and
+    ``per_sample_scores`` are read from them.  Instances are immutable and
+    compare equal field by field.
     """
 
-    __slots__ = ("value", "argmax_index", "_scores")
+    __slots__ = ("_packed",)
 
     def __init__(self, value: float, argmax_index: int, per_sample_scores: Sequence[float]):
         scores = np.array(per_sample_scores, dtype=np.float64)
@@ -411,13 +456,25 @@ class SOAResult:
             raise ValueError("value must equal the maximum per-sample score")
         if listed.index(best) + 1 != argmax_index:
             raise ValueError("argmax_index must point at the first maximal score")
-        scores.setflags(write=False)
-        for name, field in (("value", value), ("argmax_index", argmax_index), ("_scores", scores)):
-            object.__setattr__(self, name, field)
+        object.__setattr__(self, "_packed", scores.tobytes())
+
+    @property
+    def _scores(self) -> np.ndarray:
+        """The scores as a read-only array over the bytes."""
+        return np.frombuffer(self._packed)
 
     @property
     def per_sample_scores(self) -> Tuple[float, ...]:
         return tuple(self._scores.tolist())
+
+    @property
+    def value(self) -> float:
+        return max(self.per_sample_scores)
+
+    @property
+    def argmax_index(self) -> int:
+        scores = self.per_sample_scores
+        return scores.index(max(scores)) + 1
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")

@@ -34,15 +34,6 @@ def grating(width, height, freq, angle=0.0, phase=0.0, contrast=0.45):
     return ImageBuffer.from_array(0.5 + contrast * wave)
 
 
-def gaussian_blob(width, height, center=None, sigma=4.0, peak=0.9, floor=0.1):
-    """Single bright blob on a dark background."""
-    if center is None:
-        center = ((width - 1) / 2.0, (height - 1) / 2.0)
-    uu, vv = np.meshgrid(np.arange(width, dtype=np.float64), np.arange(height, dtype=np.float64))
-    d2 = (uu - center[0]) ** 2 + (vv - center[1]) ** 2
-    return ImageBuffer.from_array(floor + (peak - floor) * np.exp(-0.5 * d2 / sigma**2))
-
-
 def filtered_noise(width, height, seed, smooth=2.0, lo=0.1, hi=0.9):
     """Gaussian-smoothed uniform noise stretched to [lo, hi]."""
     rng = np.random.default_rng(seed)

@@ -42,3 +42,12 @@ def clean_noise_seeds(count, side=32, limit=500):
         seed += 1
     assert len(seeds) == count, "could not find enough clean patches"
     return seeds
+
+
+def gaussian_blob(width, height, center=None, sigma=4.0, peak=0.9, floor=0.1):
+    """Single bright blob on a dark background."""
+    if center is None:
+        center = ((width - 1) / 2.0, (height - 1) / 2.0)
+    uu, vv = np.meshgrid(np.arange(width, dtype=np.float64), np.arange(height, dtype=np.float64))
+    d2 = (uu - center[0]) ** 2 + (vv - center[1]) ** 2
+    return ImageBuffer.from_array(floor + (peak - floor) * np.exp(-0.5 * d2 / sigma**2))

@@ -7,6 +7,7 @@ from orbitpool.cli import main
 from orbitpool.descriptor import grid_keypoints, read_rows
 from orbitpool.image import load_image, save_pgm
 from orbitpool import textures
+from conftest import gaussian_blob
 
 
 @pytest.fixture
@@ -174,7 +175,7 @@ class TestDescribe:
 
     def test_dog_detector_on_blob(self, tmp_path, capsys):
         path = tmp_path / "blob.pgm"
-        save_pgm(textures.gaussian_blob(48, 48, center=(24.0, 24.0), sigma=3.0), path)
+        save_pgm(gaussian_blob(48, 48, center=(24.0, 24.0), sigma=3.0), path)
         assert main(["describe", str(path), "--dog", "--kind", "sift"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) >= 2

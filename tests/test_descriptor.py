@@ -42,7 +42,7 @@ from orbitpool.image import (
     warp,
 )
 from orbitpool.orientation import bin_centers
-from conftest import clean_noise_seeds, wrapped_gaussian_oracle
+from conftest import clean_noise_seeds, gaussian_blob, wrapped_gaussian_oracle
 
 
 class TestKeypoint:
@@ -127,7 +127,7 @@ class TestDetection:
         assert dog_keypoints(ImageBuffer(np.full((48, 48), 0.5))) == []
 
     def test_dog_blob_against_exhaustive_scan(self):
-        img = textures.gaussian_blob(48, 48, center=(24.0, 24.0), sigma=3.0)
+        img = gaussian_blob(48, 48, center=(24.0, 24.0), sigma=3.0)
         kps = dog_keypoints(img)
         assert any(math.hypot(k.u - 24, k.v - 24) <= 2.0 for k in kps)
 

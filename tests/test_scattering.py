@@ -10,6 +10,7 @@ from orbitpool import image, scattering, textures
 from orbitpool.descriptor import Keypoint, SizePrior
 from orbitpool.image import ImageBuffer, SupportError, extract_patch, extract_patches
 from orbitpool.scattering import ScatteringVector, build_filter_bank, dsp_scatter, scatter, scatter_windows
+from conftest import gaussian_blob
 
 
 @pytest.fixture(scope="module")
@@ -189,7 +190,7 @@ class TestScatter:
             assert not bank.lowpass_weights(shape).flags.writeable
 
     def test_translation_stability(self, bank):
-        base = textures.gaussian_blob(48, 48, center=(24.0, 24.0), sigma=4.0)
+        base = gaussian_blob(48, 48, center=(24.0, 24.0), sigma=4.0)
         shifted = ImageBuffer(np.roll(base.values, (0, 2), axis=(0, 1)))
         s0 = scatter(base, bank).flatten()
         s1 = scatter(shifted, bank).flatten()

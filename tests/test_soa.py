@@ -358,16 +358,17 @@ class TestWindowedTemplate:
 
 
 def warped_samples(img, kp, samples, cfg):
-    """Build the template and return it with the indices of the samples whose views were warped."""
+    """Build the template from a fresh plan and return it with the indices of the samples whose views were warped."""
     inverses = []
-    real = soa.warp_boxes
+    real = soa.warp_sources
 
-    def spy(image, chunk, boxes):
+    def spy(shape, chunk, boxes):
         inverses.extend(chunk)
-        return real(image, chunk, boxes)
+        return real(shape, chunk, boxes)
 
+    soa._template_plan.cache_clear()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(soa, "warp_boxes", spy)
+        patch.setattr(soa, "warp_sources", spy)
         template = build_template(img, kp, samples, cfg, source="spied")
     assert template.source == "spied"
     warped = [
