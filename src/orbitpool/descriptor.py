@@ -16,9 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
-import pickle
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import ClassVar, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, TextIO, Tuple, Union
 
 import numpy as np
@@ -316,10 +314,6 @@ def window_inside(kp: Keypoint, size: float, shape: Tuple[int, int]) -> bool:
 # keypoints whose windows are gathered and voted together
 GRID_CHUNK = 8
 
-# plans each plan cache keeps (this one's and ``soa``'s template plans)
-PLANS = 8
-
-
 def frozen(plan):
     """``plan`` with every array in it, through tuples, lists and named tuples, made read-only."""
     if isinstance(plan, np.ndarray):
@@ -361,27 +355,42 @@ def accumulate_pools(
     Either way each grid is the same sum, in the same order, as for its
     keypoint and pool alone.
 
-    All that reads no pixel is a plan (``plan_pools``): the support
-    checks, boxes, reaches and corners, the 1-D group key, the chunk
-    lattices, the upright cell weights and the pixels of the kernel
-    table.  It depends only on the field's shape, the keypoints'
-    positions and orientations, the sides, the weights and ``cfg``.  The
-    last ``PLANS`` plans are kept, keyed by the pickle of those
-    arguments, which holds every float by its bits (-0.0 is not 0.0),
-    and reused only for exactly the same ones; ``pool_pass`` reads the
-    pixels.  A plan holds, per upright keypoint, 8 B per box pixel and
-    C x (4R + 4) x 8 B per side (R its largest reach), 8 B per box pixel
-    of a rotated one and up to 8 B per image pixel.  For ``sift`` and
-    ``dsp-sift`` at base size 8 that is about 25 KB per keypoint, so a
-    stride-8 lattice on a 512 px image makes a 100 MB plan, and
-    ``PLANS`` times the largest plan is the cache's worst case.
+    The work that reads no pixel is ``_pool_plan``'s: the support
+    checks, boxes, reaches and corners, the chunk lattices, the upright
+    cell weights and the pixels of the kernel table.  It depends only on
+    the field's shape, the keypoints' positions and orientations, the
+    sides, the weights and ``cfg``.  Here each chunk is planned just
+    before ``pool_pass`` reads its pixels and nothing is kept, so a call
+    holds one chunk's weights at a time; ``plan_pools`` lists a whole
+    plan for a caller that reuses it over many fields of one shape.
     """
-    plan = _cached_pool_plan(pickle.dumps((field.magnitude.shape, *_checked_pools(kps, pools), cfg)))
-    return pool_pass(field, plan, cfg)
+    return pool_pass(field, _pool_plan(field.magnitude.shape, kps, pools, cfg), cfg)
 
 
-def _checked_pools(kps, pools):
-    """The keypoints' (u, v, orientation) rows and the pools as arrays, or the error for malformed pools."""
+class PoolPlan(NamedTuple):
+    """What ``accumulate_pools`` works out without reading a pixel.
+
+    ``keeps`` holds each pool's mask over the ``gathered`` keypoints and
+    ``used`` the pixels of the kernel table or None; upright chunks index
+    their box pixels into ``used`` if set, else into the flat field.
+    ``rotated`` and ``upright`` yield the chunks' plans.
+    """
+
+    gathered: np.ndarray
+    keeps: List[np.ndarray]
+    rotated: Iterable
+    used: Optional[np.ndarray]
+    upright: Iterable
+
+
+def plan_pools(shape, kps, pools, cfg: DescriptorConfig) -> PoolPlan:
+    """The plan of ``accumulate_pools`` over a field of ``shape``, its chunks listed and every array read-only."""
+    plan = _pool_plan(shape, kps, pools, cfg)
+    return frozen(plan._replace(rotated=list(plan.rotated), upright=list(plan.upright)))
+
+
+def _pool_plan(shape, kps, pools, cfg):
+    """The ``PoolPlan`` of ``accumulate_pools`` over a field of ``shape``, its chunks planned as they are taken."""
     checked = []
     for sides, weights in pools:
         weights = np.asarray(weights, dtype=float)
@@ -393,44 +402,14 @@ def _checked_pools(kps, pools):
         if weights.ndim == 2 and len(weights) != len(kps):
             raise ValueError(f"{len(weights)} rows of weights for {len(kps)} keypoints")
         checked.append((sides, weights))
-    return np.array([(kp.u, kp.v, kp.orientation) for kp in kps], dtype=float).reshape(-1, 3), checked
-
-
-class PoolPlan(NamedTuple):
-    """What ``accumulate_pools`` works out without reading a pixel.
-
-    ``keeps`` holds each pool's mask over the ``gathered`` keypoints and
-    ``used`` the pixels of the kernel table or None; upright chunks index
-    their box pixels into ``used`` if set, else into the flat field.
-    """
-
-    gathered: np.ndarray
-    keeps: List[np.ndarray]
-    rotated: list
-    used: Optional[np.ndarray]
-    upright: list
-
-
-def plan_pools(shape, kps, pools, cfg: DescriptorConfig) -> PoolPlan:
-    """The plan of ``accumulate_pools`` over a field of ``shape``, built afresh, not cached."""
-    return frozen(_pool_plan(shape, *_checked_pools(kps, pools), cfg))
-
-
-@lru_cache(maxsize=PLANS)
-def _cached_pool_plan(geometry: bytes) -> PoolPlan:
-    """The plan of the pickled (shape, keypoint rows, checked pools, cfg): a pickle holds every float by its bits."""
-    return frozen(_pool_plan(*pickle.loads(geometry)))
-
-
-def _pool_plan(shape, points, checked, cfg):
-    """The ``PoolPlan`` over a field of ``shape`` of ``_checked_pools``' keypoint rows and pools."""
     *layers, h, w = shape
-    if layers and layers != [len(points)]:
-        raise ValueError(f"{layers[0]} field layers for {len(points)} keypoints")
-    largest = np.array([sides.max(axis=1) for sides, _ in checked]).reshape(len(checked), len(points))
+    if layers and layers != [len(kps)]:
+        raise ValueError(f"{layers[0]} field layers for {len(kps)} keypoints")
+    largest = np.array([sides.max(axis=1) for sides, _ in checked]).reshape(len(pools), len(kps))
     # _window_extent and _inside of each pool's largest window, to the bit
-    u, v, theta = points.T
-    c, s = np.array([(abs(math.cos(t)), abs(math.sin(t))) for t in theta.tolist()]).reshape(-1, 2).T
+    u, v, theta, c, s = np.array(
+        [(kp.u, kp.v, kp.orientation, abs(math.cos(kp.orientation)), abs(math.sin(kp.orientation))) for kp in kps]
+    ).reshape(-1, 5).T
     with np.errstate(invalid="ignore"):  # an overflowing side times a zero sine
         umin, umax, vmin, vmax = _extent(u, v, c, s, largest)
     keeps = (umin >= 0) & (umax <= w - 1) & (vmin >= 0) & (vmax <= h - 1)
@@ -451,17 +430,19 @@ def _pool_plan(shape, points, checked, cfg):
     side_columns = np.array([np.frombuffer(column) for column in distinct]).T.reshape(len(gathered), len(distinct))
     upright = theta == 0.0
     rotated = np.flatnonzero(~upright)
-    rotated_chunks = []
-    for chunk in (rotated[start : start + GRID_CHUNK] for start in range(0, len(rotated), GRID_CHUNK)):
-        plan = [(keep[chunk], top[chunk], weights[chunk], columns) for keep, top, weights, columns in plans]
-        lattice = _box_lattice((h, w), boxes[chunk].T, origin[chunk])
-        rotated_chunks.append((chunk, plan, lattice, u[chunk], v[chunk], theta[chunk], gathered_side[chunk], side_columns[chunk]))
+
+    def rotated_chunks():
+        for chunk in (rotated[start : start + GRID_CHUNK] for start in range(0, len(rotated), GRID_CHUNK)):
+            plan = [(keep[chunk], top[chunk], weights[chunk], columns) for keep, top, weights, columns in plans]
+            lattice = _box_lattice((h, w), boxes[chunk].T, origin[chunk])
+            yield chunk, plan, lattice, u[chunk], v[chunk], theta[chunk], gathered_side[chunk], side_columns[chunk]
+
     # a pool reads an upright keypoint over the box of 2r + 2 pixels a side
     # from r left of and above the keypoint's pixel, r half the pool's
     # largest side rounded up (-1 where the pool drops the keypoint), so
     # every product has a shape that the keypoint and pool alone set
     reach = np.array([np.where(keep, np.ceil(top / 2.0), -1) for keep, top, _, _ in plans], dtype=np.intp)
-    reach = reach.reshape(len(checked), len(gathered)).T
+    reach = reach.reshape(len(pools), len(gathered)).T
     corner = np.floor(np.array([u, v])).astype(np.intp) - reach.max(axis=1, initial=0)
     used = index = None
     if not layers and upright.sum() > 1:
@@ -482,19 +463,21 @@ def _pool_plan(shape, points, checked, cfg):
     key = np.zeros(upright_at.size, dtype=np.intp)
     for column in reach[upright_at].T:
         key = np.unique(key * (column.max(initial=0) + 2) + column + 1, return_inverse=True)[1]
-    upright_chunks = []
-    for g in range(key.max(initial=-1) + 1):
-        group = upright_at[key == g]
-        signature = reach[group[0]].tolist()
-        size = 2 * max(signature) + 2
-        holding = [p for p, r in enumerate(signature) if r >= 0]
-        for chunk in (group[start : start + GRID_CHUNK] for start in range(0, len(group), GRID_CHUNK)):
-            u0, v0 = corner[:, chunk]
-            cols, rows, pix = _box_lattice((h, w), (u0, u0 + size - 1, v0, v0 + size - 1), origin[chunk])
-            taken = [(signature[p], side_columns[chunk][:, plans[p][3]], plans[p][2][chunk]) for p in holding]
-            operands = _upright_weights(cols, rows, u[chunk], v[chunk], taken, cfg)
-            upright_chunks.append((chunk, holding, pix if index is None else index[pix], operands))
-    return PoolPlan(gathered, [keep for keep, *_ in plans], rotated_chunks, used, upright_chunks)
+
+    def upright_chunks():
+        for g in range(key.max(initial=-1) + 1):
+            group = upright_at[key == g]
+            signature = reach[group[0]].tolist()
+            size = 2 * max(signature) + 2
+            holding = [p for p, r in enumerate(signature) if r >= 0]
+            for chunk in (group[start : start + GRID_CHUNK] for start in range(0, len(group), GRID_CHUNK)):
+                u0, v0 = corner[:, chunk]
+                cols, rows, pix = _box_lattice((h, w), (u0, u0 + size - 1, v0, v0 + size - 1), origin[chunk])
+                taken = [(signature[p], side_columns[chunk][:, plans[p][3]], plans[p][2][chunk]) for p in holding]
+                operands = _upright_weights(cols, rows, u[chunk], v[chunk], taken, cfg)
+                yield chunk, holding, pix if index is None else index[pix], operands
+
+    return PoolPlan(gathered, [keep for keep, *_ in plans], rotated_chunks(), used, upright_chunks())
 
 
 def pool_pass(field: GradientField, plan: PoolPlan, cfg: DescriptorConfig) -> List[Tuple[List[int], np.ndarray]]:
@@ -506,8 +489,9 @@ def pool_pass(field: GradientField, plan: PoolPlan, cfg: DescriptorConfig) -> Li
             grid[chunk[keep]] = rows
     table = None
     if plan.used is not None:
-        valid, magnitude, orientation = (x.reshape(-1)[plan.used] for x in (field.valid, field.magnitude, field.orientation))
-        table = np.where(valid, magnitude, 0.0), vote_kernel(orientation, cfg.kernel(), cfg.bins)
+        kernel = vote_kernel(field.orientation.reshape(-1)[plan.used], cfg.kernel(), cfg.bins)
+        valid, magnitude = (x.reshape(-1)[plan.used] for x in (field.valid, field.magnitude))
+        table = np.where(valid, magnitude, 0.0), kernel
     for chunk, holding, pix, operands in plan.upright:
         for p, rows in zip(holding, _upright_grids(field, pix, operands, cfg, table)):
             grids[p][chunk] = rows

@@ -19,7 +19,7 @@ import math
 import pickle
 from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .image import GRADIENT_MARGIN, ImageBuffer, SimilarityTransform, SupportErr
 from .image import gradient_field_of_array, resample
 from .descriptor import (
     GRID_CHUNK,
-    PLANS,
     Descriptor,
     DescriptorConfig,
     Keypoint,
@@ -314,9 +313,9 @@ def build_template(
     The warped views are planned first, then grouped by box shape and
     taken ``GRID_CHUNK`` at a time: one warp of the chunk's boxes (the
     two halves of ``warp_boxes``), one gradient pass over its stack and
-    one ``accumulate_pools`` pass in which view k reads layer k.  Every layer, and every view's grid, is
-    bit for bit that of the view alone, and only one chunk's layers are
-    alive at a time.  If a view fails, the error raised is the first
+    one ``accumulate_pools`` pass in which view k reads layer k.  Every
+    layer, and every view's grid, is bit for bit that of the view alone,
+    and only one chunk's layers are alive at a time.  If a view fails, the error raised is the first
     failing view's, in sample and cloud order, as a view-by-view loop
     would raise it; support errors name the keypoint in whole-image
     coordinates.
@@ -324,18 +323,17 @@ def build_template(
     None of this planning reads a pixel: the turned samples, the chunks
     with their ``warp_sources`` and pool plans, and the error, if any,
     depend only on the image shape, ``kp``, ``samples`` and ``cfg``.  The
-    last ``PLANS`` plans are kept, keyed as in ``accumulate_pools``, and
-    reused only for exactly the same arguments, so an image of a known
+    last ``PLANS`` plans are kept, keyed by the pickle of those
+    arguments, which holds every float by its bits (-0.0 is not 0.0), and
+    reused only for exactly the same ones, so an image of a known
     geometry is only resampled, differentiated, voted, pooled, turned
-    and normalized; an error is raised afresh each time.  A plan holds
-    17 B per box pixel of each warped view plus the chunks' pool plans:
-    0.7 MB for ``GroupSampleSet.default()`` at a 24 px window, and
-    ``PLANS`` times the largest plan is the cache's worst case.
+    and normalized.  A failing geometry is planned again on each call,
+    as ``lru_cache`` keeps no raised error.  A plan holds 17 B per box
+    pixel of each warped view plus the chunks' pool plans: 0.7 MB for
+    ``GroupSampleSet.default()`` at a 24 px window, and ``PLANS`` times
+    the largest plan is the cache's worst case.
     """
-    plan = _template_plan(pickle.dumps((img.values.shape, kp, samples, cfg)))
-    if isinstance(plan, _Failure):
-        raise plan.kind(*plan.args)
-    count, chunks, spans = plan
+    count, chunks, spans = _template_plan(pickle.dumps((img.values.shape, kp, samples, cfg)))
     grids = np.zeros((count, cfg.length))
     for rows, sources, pools in chunks:
         ((_, chunk_grids),) = pool_pass(gradient_field_of_array(resample(img.values, sources)), pools, cfg)
@@ -352,16 +350,13 @@ def build_template(
     return TemplateModel(source, tuple(normalize_grid(total, kp, cfg) for total in pooled))
 
 
-class _Failure(NamedTuple):
-    """An error that a plan decides, kept as its type and arguments so that each raise is a fresh exception."""
-
-    kind: type
-    args: tuple
+# template plans kept, each for one (image shape, keypoint, samples, cfg)
+PLANS = 8
 
 
 @lru_cache(maxsize=PLANS)
 def _template_plan(geometry: bytes):
-    """What ``build_template`` works out without reading a pixel, or the ``_Failure`` it raises.
+    """What ``build_template`` works out without reading a pixel, or the error it raises.
 
     A plan is (the number of views, the warped chunks, each sample's
     pooling), a chunk (its views' rows, its ``warp_sources`` and its pool
@@ -419,7 +414,7 @@ def _template_plan(geometry: bytes):
                 errors[i] = error
     failed = next((e for e in errors if e is not None), None)
     if failed is not None:
-        return _Failure(type(failed), failed.args)
+        raise failed
     pooling = [span if turn is None else turn for span, turn in zip(spans, turned)]
     return frozen((len(views), chunks, pooling))
 
@@ -439,12 +434,14 @@ class SOAResult:
     """Max score over template samples, with the winning 1-based index.
 
     Only the scores are kept, as the bytes of a float64 array, far smaller
-    than a tuple of floats; ``value``, ``argmax_index`` and
-    ``per_sample_scores`` are read from them.  Instances are immutable and
-    compare equal field by field.
+    than a tuple of floats; ``per_sample_scores`` gives the tuple, and
+    ``argmax_index`` and ``value`` are read from them.  A ``value`` that
+    is not the float maximum itself (an int, or a zero of the other sign)
+    is kept as given.  Instances are immutable and compare equal field
+    by field.
     """
 
-    __slots__ = ("_packed",)
+    __slots__ = ("_packed", "_given")
 
     def __init__(self, value: float, argmax_index: int, per_sample_scores: Sequence[float]):
         scores = np.array(per_sample_scores, dtype=np.float64)
@@ -456,7 +453,9 @@ class SOAResult:
             raise ValueError("value must equal the maximum per-sample score")
         if listed.index(best) + 1 != argmax_index:
             raise ValueError("argmax_index must point at the first maximal score")
-        object.__setattr__(self, "_packed", scores.tobytes())
+        derived = type(value) is float and math.copysign(1.0, value) == math.copysign(1.0, best)
+        for name, field in (("_packed", scores.tobytes()), ("_given", None if derived else value)):
+            object.__setattr__(self, name, field)
 
     @property
     def _scores(self) -> np.ndarray:
@@ -469,12 +468,11 @@ class SOAResult:
 
     @property
     def value(self) -> float:
-        return max(self.per_sample_scores)
+        return self._scores[self.argmax_index - 1].item() if self._given is None else self._given
 
     @property
     def argmax_index(self) -> int:
-        scores = self.per_sample_scores
-        return scores.index(max(scores)) + 1
+        return int(self._scores.argmax()) + 1
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")

@@ -1,4 +1,4 @@
-"""Plans: the pixel-free work of ``accumulate_pools`` and ``build_template``, kept per exact geometry and reused."""
+"""Plans: the pixel-free work of ``accumulate_pools`` and ``build_template``, reused over images of one geometry."""
 
 import math
 import traceback
@@ -6,10 +6,10 @@ import traceback
 import numpy as np
 import pytest
 
-from orbitpool import descriptor, soa, textures
-from orbitpool.descriptor import PLANS, DescriptorConfig, Keypoint, SizePrior, accumulate_pools
+from orbitpool import soa, textures
+from orbitpool.descriptor import DescriptorConfig, Keypoint, SizePrior, accumulate_pools, plan_pools, pool_pass
 from orbitpool.image import SimilarityTransform, SupportError, gradient_field_of_array
-from orbitpool.soa import GroupSampleSet, build_template, delta_perturbation
+from orbitpool.soa import PLANS, GroupSampleSet, build_template, delta_perturbation
 
 # the last keypoint's largest prior window leaves the image, its 7.5 px one does not
 KEYPOINTS = {
@@ -35,7 +35,6 @@ def field_of(layered, seed):
 
 
 def clear():
-    descriptor._cached_pool_plan.cache_clear()
     soa._template_plan.cache_clear()
 
 
@@ -62,17 +61,14 @@ def assert_same_template(got, want):
 @pytest.mark.parametrize("layered", [False, True])
 @pytest.mark.parametrize("kind", ["upright", "rotated"])
 @pytest.mark.parametrize("count", [1, 2])
-def test_warm_pools_equal_cold(layered, kind, count):
+def test_listed_pool_plan_equals_accumulate_pools(layered, kind, count):
     kps = KEYPOINTS[kind]
     pools, cfg = pools_of(count, kps), DescriptorConfig()
-    clear()
-    accumulate_pools(field_of(layered, 1), kps, pools, cfg)
-    warm = accumulate_pools(field_of(layered, 2), kps, pools, cfg)
-    assert descriptor._cached_pool_plan.cache_info().hits == 1
-    clear()
-    cold = accumulate_pools(field_of(layered, 2), kps, pools, cfg)
-    assert_same_pools(warm, cold)
-    assert [len(kept) for kept, _ in cold] == [3, 4][:count]
+    plan = plan_pools(field_of(layered, 1).magnitude.shape, kps, pools, cfg)
+    for seed in (1, 2):
+        field = field_of(layered, seed)
+        assert_same_pools(pool_pass(field, plan, cfg), accumulate_pools(field, kps, pools, cfg))
+    assert [len(kept) for kept, _ in accumulate_pools(field, kps, pools, cfg)] == [3, 4][:count]
 
 
 @pytest.mark.parametrize("samples", [GroupSampleSet.default(), GroupSampleSet.default(anti_alias="delta")])
@@ -101,36 +97,35 @@ def test_warm_rotated_template_equals_cold():
 
 
 def variants():
-    """Pairs of accumulate_pools arguments that dataclass equality, or a loose key, could confuse."""
-    field = field_of(False, 1)
-    kp, cfg = Keypoint(20.0, 18.5, 2.5), DescriptorConfig()
-    pools = [([[7.5, 9.0]], [1.0, 0.0])]
-    base = (field, [kp], pools, cfg)
+    """Pairs of build_template arguments that dataclass equality, or a loose key, could confuse."""
+    img = textures.filtered_noise(64, 64, seed=3)
+    kp, samples = Keypoint(31.5, 31.5, 3.0), GroupSampleSet.rotation_group(4, anti_alias="delta")
+    base = (img, kp, samples)
     return {
-        "orientation": (base, (field, [Keypoint(20.0, 18.5, 2.5, -0.0)], pools, cfg)),
-        "side": (base, (field, [kp], [([[7.5, math.nextafter(9.0, 10.0)]], [1.0, 0.0])], cfg)),
-        "weight": (base, (field, [kp], [([[7.5, 9.0]], [1.0, -0.0])], cfg)),
-        "weights": (base, (field, [kp], [([[7.5, 9.0]], [0.5, 0.5])], cfg)),
-        "cfg": (base, (field, [kp], pools, DescriptorConfig(cells=3))),
-        "layered": (base, (gradient_field_of_array(textures.filtered_noise(48, 40, seed=[1, 0]).values[None]), [kp], pools, cfg)),
+        "orientation": (base, (img, Keypoint(31.5, 31.5, 3.0, -0.0), samples)),
+        "base size": (base, (img, Keypoint(31.5, 31.5, math.nextafter(3.0, 4.0)), samples)),
+        "position": (base, (img, Keypoint(31.5, math.nextafter(31.5, 32.0), 3.0), samples)),
+        "samples": (base, (img, kp, GroupSampleSet.rotation_group(4))),
+        "shape": (base, (textures.filtered_noise(64, 62, seed=3), kp, samples)),
+        "cfg": (base, (img, kp, samples, DescriptorConfig(cells=3))),
     }
 
 
-@pytest.mark.parametrize("name", ["orientation", "side", "weight", "weights", "cfg", "layered"])
-def test_other_geometry_gets_its_own_pool_plan(name):
+@pytest.mark.parametrize("name", ["orientation", "base size", "position", "samples", "shape", "cfg"])
+def test_other_geometry_gets_its_own_template_plan(name):
     first, second = variants()[name]
     clear()
-    accumulate_pools(*first)
-    got = accumulate_pools(*second)
-    info = descriptor._cached_pool_plan.cache_info()
+    build_template(*first)
+    got = build_template(*second)
+    info = soa._template_plan.cache_info()
     assert (info.hits, info.misses) == (0, 2)
     clear()
-    assert_same_pools(got, accumulate_pools(*second))
+    assert_same_template(got, build_template(*second))
 
 
 def test_negative_zero_orientation_names_its_own_sign():
     # the view's support error is decided by the plan and names the
-    # keypoint's orientation, so 0.0 and -0.0 need plans of their own
+    # keypoint's orientation, -0.0 as well as 0.0, on every call
     img = textures.filtered_noise(64, 64, seed=3)
     samples = GroupSampleSet((SimilarityTransform(translation=(-27.0, 0.0)),), (delta_perturbation(),))
     clear()
@@ -141,19 +136,6 @@ def test_negative_zero_orientation_names_its_own_sign():
         messages.append(str(got.value))
     assert messages[0] == "window sides out of bounds at (4.5, 31.5) rotated by 0.000 in the 64x64 image: 12.00"
     assert messages == [messages[0], messages[0].replace("0.000", "-0.000"), *messages[:2]]
-    assert soa._template_plan.cache_info().misses == 2
-
-
-def test_other_cfg_gets_its_own_template_plan():
-    img = textures.filtered_noise(64, 64, seed=3)
-    kp, samples = Keypoint(31.5, 31.5, 3.0), GroupSampleSet.rotation_group(4, anti_alias="delta")
-    clear()
-    build_template(img, kp, samples)
-    got = build_template(img, kp, samples, DescriptorConfig(cells=3))
-    assert soa._template_plan.cache_info().misses == 2
-    assert len(got.descriptors[0].values) == 3 * 3 * 8
-    clear()
-    assert_same_template(got, build_template(img, kp, samples, DescriptorConfig(cells=3)))
 
 
 def test_cached_arrays_are_read_only(monkeypatch):
@@ -163,12 +145,11 @@ def test_cached_arrays_are_read_only(monkeypatch):
         real = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *args: plans.append(args[1]) or real(*args))
 
-    spy(descriptor, "pool_pass")
     spy(soa, "pool_pass")
     spy(soa, "resample")
     clear()
     for kps in KEYPOINTS.values():
-        accumulate_pools(field_of(False, 1), kps, pools_of(2, kps), DescriptorConfig())
+        plans.append(plan_pools(field_of(False, 1).magnitude.shape, kps, pools_of(2, kps), DescriptorConfig()))
     build_template(textures.filtered_noise(96, 96, seed=1), Keypoint(47.5, 47.5, 8.0), GroupSampleSet.default())
     cached = list(arrays(plans))
     assert len(plans) > 2 and len(cached) > 50
@@ -202,20 +183,18 @@ def test_failing_geometry_raises_afresh(shape, kp, samples, kind, message):
         with pytest.raises(kind) as got:
             build_template(img, kp, samples)
         raised.append(got.value)
-    assert soa._template_plan.cache_info().hits == 3
+    info = soa._template_plan.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 4, 0)
     assert {type(e) for e in raised} == {kind} and {str(e) for e in raised} == {message}
     assert len({id(e) for e in raised}) == len(raised)
     assert len({len(traceback.extract_tb(e.__traceback__)) for e in raised}) == 1
 
 
-def test_caches_stay_bounded():
-    field, cfg = field_of(False, 1), DescriptorConfig()
+def test_template_cache_stays_bounded():
     img = textures.filtered_noise(40, 40, seed=4)
     samples = GroupSampleSet.rotation_group(2, anti_alias="delta")
     clear()
     for k in range(PLANS + 3):
-        accumulate_pools(field, [Keypoint(20.0 + k / 8.0, 18.5, 2.5)], [([[7.5]], [1.0])], cfg)
         build_template(img, Keypoint(19.5 + k / 8.0, 19.5, 2.0), samples)
-    for cache in (descriptor._cached_pool_plan, soa._template_plan):
-        info = cache.cache_info()
-        assert (info.maxsize, info.currsize, info.misses) == (PLANS, PLANS, PLANS + 3)
+    info = soa._template_plan.cache_info()
+    assert (info.maxsize, info.currsize, info.misses) == (PLANS, PLANS, PLANS + 3)

@@ -610,6 +610,14 @@ class TestSOAResult:
         assert pickle.loads(pickle.dumps(r)) == r
         assert repr(r) == "SOAResult(value=0.9, argmax_index=2, per_sample_scores=(0.25, 0.9, 0.5))"
 
+    def test_value_kept_as_given(self):
+        r = SOAResult(1, 1, [1.0])
+        assert repr(r) == "SOAResult(value=1, argmax_index=1, per_sample_scores=(1.0,))"
+        assert type(pickle.loads(pickle.dumps(r)).value) is int
+        assert math.copysign(1.0, SOAResult(-0.0, 1, [0.0, -1.0]).value) == -1.0
+        assert repr(SOAResult(-0.0, 1, [-0.0, 0.0])) == "SOAResult(value=-0.0, argmax_index=1, per_sample_scores=(-0.0, 0.0))"
+        assert repr(SOAResult(0.0, 2, [-1.0, 0.0, -0.0])) == "SOAResult(value=0.0, argmax_index=2, per_sample_scores=(-1.0, 0.0, -0.0))"
+
 
 class TestSOALikelihood:
     def test_identical_descriptors_tie(self):
