@@ -311,7 +311,7 @@ def window_inside(kp: Keypoint, size: float, shape: Tuple[int, int]) -> bool:
     return _inside(_window_extent(kp, size), shape)
 
 
-# keypoints whose windows are gathered and voted together
+# upright keypoints whose boxes are read and voted together
 GRID_CHUNK = 8
 
 def frozen(plan):
@@ -339,25 +339,23 @@ def accumulate_pools(
     centre) to that cell, soft-voted over the orientation bins.  A
     ``(V, h, w)`` field holds one layer per keypoint.  Returns, per pool,
     the indices of the keypoints whose largest window of that pool lies
-    inside the image, and their flat grids.  Keypoints are taken
-    ``GRID_CHUNK`` at a time, upright ones (orientation 0.0) apart from
-    rotated ones.
+    inside the image, and their flat grids.
 
-    In an upright window a pixel's cell and Gaussian cell weight are a
-    column term times a row term, and ``_upright_grids`` sums them so,
-    over a box set by each pool's largest side; its sums associate
+    Upright keypoints (orientation 0.0) are taken ``GRID_CHUNK`` at a
+    time.  In an upright window a pixel's cell and Gaussian cell weight
+    are a column term times a row term, and ``_upright_grids`` sums them
+    so, over a box set by each pool's largest side; its sums associate
     differently from the per-pixel ones, by round-off.  On an unlayered
     field the orientation kernel is then worked out once per pixel for
-    all chunks.  A rotated keypoint is gathered once, at the largest side
-    among the pools that keep it, and its pixels vote one by one: cells
-    and Gaussian weights once per side column, shared by the pools
-    holding it bit for bit, and the kernel once per pixel of a chunk.
-    Either way each grid is the same sum, in the same order, as for its
-    keypoint and pool alone.
+    all chunks.  Each grid is the same sum, in the same order, as for its
+    keypoint and pool alone.  A rotated keypoint, which only a caller
+    builds, is described by ``_rotated_grid`` once per pool that keeps
+    it, with the plain per-pixel arithmetic.
 
     The work that reads no pixel is ``_pool_plan``'s: the support
-    checks, boxes, reaches and corners, the chunk lattices, the upright
-    cell weights and the pixels of the kernel table.  It depends only on
+    checks, reaches and corners, the chunk lattices, the upright cell
+    weights, the pixels of the kernel table and the list of rotated
+    keypoints with their pools.  It depends only on
     the field's shape, the keypoints' positions and orientations, the
     sides, the weights and ``cfg``.  Here each chunk is planned just
     before ``pool_pass`` reads its pixels and nothing is kept, so a call
@@ -372,13 +370,15 @@ class PoolPlan(NamedTuple):
 
     ``keeps`` holds each pool's mask over the ``gathered`` keypoints and
     ``used`` the pixels of the kernel table or None; upright chunks index
-    their box pixels into ``used`` if set, else into the flat field.
-    ``rotated`` and ``upright`` yield the chunks' plans.
+    their box pixels into ``used`` if set, else into the flat field, and
+    ``upright`` yields the chunks' plans.  ``rotated`` lists each rotated
+    keypoint as (its index in ``gathered``, the keypoint, and (pool,
+    sides, weights) for each pool that keeps it).
     """
 
     gathered: np.ndarray
     keeps: List[np.ndarray]
-    rotated: Iterable
+    rotated: List[Tuple[int, Keypoint, List[Tuple[int, np.ndarray, np.ndarray]]]]
     used: Optional[np.ndarray]
     upright: Iterable
 
@@ -386,7 +386,7 @@ class PoolPlan(NamedTuple):
 def plan_pools(shape, kps, pools, cfg: DescriptorConfig) -> PoolPlan:
     """The plan of ``accumulate_pools`` over a field of ``shape``, its chunks listed and every array read-only."""
     plan = _pool_plan(shape, kps, pools, cfg)
-    return frozen(plan._replace(rotated=list(plan.rotated), upright=list(plan.upright)))
+    return frozen(plan._replace(upright=list(plan.upright)))
 
 
 def _pool_plan(shape, kps, pools, cfg):
@@ -413,29 +413,21 @@ def _pool_plan(shape, kps, pools, cfg):
     with np.errstate(invalid="ignore"):  # an overflowing side times a zero sine
         umin, umax, vmin, vmax = _extent(u, v, c, s, largest)
     keeps = (umin >= 0) & (umax <= w - 1) & (vmin >= 0) & (vmax <= h - 1)
-    # a keypoint is gathered at the largest window that some pool keeps,
-    # which lies inside the image, so its box needs no clipping
+    # the keypoints that some pool keeps
     gathered = np.flatnonzero(keeps.any(axis=0))
-    u, v, theta, c, s = (x[gathered] for x in (u, v, theta, c, s))
-    gathered_side = np.where(keeps, largest, -np.inf).max(axis=0, initial=-np.inf)[gathered]
-    umin, umax, vmin, vmax = _extent(u, v, c, s, gathered_side)
-    boxes = np.array([np.floor(umin), np.ceil(umax), np.floor(vmin), np.ceil(vmax)], dtype=np.intp).T.reshape(-1, 4)
+    u, v, theta = (x[gathered] for x in (u, v, theta))
     # each keypoint's first pixel in the flat field
     origin = gathered * (h * w) if layers else np.zeros(len(gathered), dtype=np.intp)
-    # the pools' side columns over the gathered keypoints, bit-equal ones once
-    distinct, plans = {}, []
-    for (sides, weights), keep, top in zip(checked, keeps, largest):
-        columns = [distinct.setdefault(sides[gathered, j].tobytes(), len(distinct)) for j in range(sides.shape[1])]
-        plans.append((keep[gathered], top[gathered], np.broadcast_to(weights, sides.shape)[gathered], columns))
-    side_columns = np.array([np.frombuffer(column) for column in distinct]).T.reshape(len(gathered), len(distinct))
+    plans = [
+        (keep[gathered], top[gathered], sides[gathered], np.broadcast_to(weights, sides.shape)[gathered])
+        for (sides, weights), keep, top in zip(checked, keeps, largest)
+    ]
     upright = theta == 0.0
-    rotated = np.flatnonzero(~upright)
-
-    def rotated_chunks():
-        for chunk in (rotated[start : start + GRID_CHUNK] for start in range(0, len(rotated), GRID_CHUNK)):
-            plan = [(keep[chunk], top[chunk], weights[chunk], columns) for keep, top, weights, columns in plans]
-            lattice = _box_lattice((h, w), boxes[chunk].T, origin[chunk])
-            yield chunk, plan, lattice, u[chunk], v[chunk], theta[chunk], gathered_side[chunk], side_columns[chunk]
+    rotated = [
+        (k, kps[i], [(p, sides[k], weights[k]) for p, (keep, _, sides, weights) in enumerate(plans) if keep[k]])
+        for k, i in enumerate(gathered.tolist())
+        if not upright[k]
+    ]
 
     # a pool reads an upright keypoint over the box of 2r + 2 pixels a side
     # from r left of and above the keypoint's pixel, r half the pool's
@@ -472,21 +464,21 @@ def _pool_plan(shape, kps, pools, cfg):
             holding = [p for p, r in enumerate(signature) if r >= 0]
             for chunk in (group[start : start + GRID_CHUNK] for start in range(0, len(group), GRID_CHUNK)):
                 u0, v0 = corner[:, chunk]
-                cols, rows, pix = _box_lattice((h, w), (u0, u0 + size - 1, v0, v0 + size - 1), origin[chunk])
-                taken = [(signature[p], side_columns[chunk][:, plans[p][3]], plans[p][2][chunk]) for p in holding]
+                cols, rows, pix = _box_lattice((h, w), u0, v0, size, origin[chunk])
+                taken = [(signature[p], plans[p][2][chunk], plans[p][3][chunk]) for p in holding]
                 operands = _upright_weights(cols, rows, u[chunk], v[chunk], taken, cfg)
                 yield chunk, holding, pix if index is None else index[pix], operands
 
-    return PoolPlan(gathered, [keep for keep, *_ in plans], rotated_chunks(), used, upright_chunks())
+    return PoolPlan(gathered, [keep for keep, *_ in plans], rotated, used, upright_chunks())
 
 
 def pool_pass(field: GradientField, plan: PoolPlan, cfg: DescriptorConfig) -> List[Tuple[List[int], np.ndarray]]:
     """The pixel half of ``accumulate_pools``: its result from a field and that field's plan."""
     grids = [np.empty((len(plan.gathered), cfg.length)) for _ in plan.keeps]
-    for chunk, pools, lattice, u, v, theta, largest, sides in plan.rotated:
-        pixels = _window_pixels(field, u, v, theta, largest, lattice)
-        for grid, (keep, *_), rows in zip(grids, pools, _vote_grids(field, pixels, theta, sides, pools, cfg)):
-            grid[chunk[keep]] = rows
+    for k, kp, pools in plan.rotated:
+        layer = plan.gathered[k] if field.magnitude.ndim == 3 else 0
+        for p, sides, weights in pools:
+            grids[p][k] = _rotated_grid(field, layer, kp, sides, weights, cfg)
     table = None
     if plan.used is not None:
         kernel = vote_kernel(field.orientation.reshape(-1)[plan.used], cfg.kernel(), cfg.bins)
@@ -498,18 +490,16 @@ def pool_pass(field: GradientField, plan: PoolPlan, cfg: DescriptorConfig) -> Li
     return [(plan.gathered[keep].tolist(), grid[keep]) for keep, grid in zip(plan.keeps, grids)]
 
 
-def _box_lattice(shape, box, origin):
-    """The columns, rows and flat field indices of a chunk's inclusive boxes (u0, u1, v0, v1).
+def _box_lattice(shape, u0, v0, size, origin):
+    """The columns, rows and flat field indices of a chunk's boxes of ``size`` pixels a side from (u0, v0).
 
-    Each keypoint's box is padded at its right and bottom to the largest
-    box of the chunk, and indices are clipped into the image: the caller
-    weighs a pixel outside its keypoint's window by zero.  ``origin`` is
-    the flat index of each keypoint's first pixel, that of its layer.
+    Indices are clipped into the image: the caller weighs a pixel outside
+    its keypoint's window by zero.  ``origin`` is the flat index of each
+    keypoint's first pixel, that of its layer.
     """
     h, w = shape
-    u0, u1, v0, v1 = box
-    cols = u0[:, None] + np.arange((u1 - u0).max() + 1)
-    rows = v0[:, None] + np.arange((v1 - v0).max() + 1)
+    cols = u0[:, None] + np.arange(size)
+    rows = v0[:, None] + np.arange(size)
     pix = (origin[:, None] + np.minimum(np.maximum(rows, 0), h - 1) * w)[:, :, None]
     pix = pix + np.minimum(np.maximum(cols, 0), w - 1)[:, None, :]
     return cols, rows, pix
@@ -590,90 +580,40 @@ def _upright_grids(field, pix, pools, cfg, table):
     return out
 
 
-def _window_pixels(field, u, v, theta, largest, lattice):
-    """The valid pixels of each keypoint's largest window, in row-major order.
+def _rotated_grid(field, layer, kp, sides, weights, cfg):
+    """The raw grid of one rotated keypoint and one pool, pixel by pixel.
 
-    Works over the chunk's ``_box_lattice``.  A padding pixel lies a
-    pixel or more outside its keypoint's window, far beyond round-off, so
-    the window test drops it.  Returns the flat field index of every
-    selected pixel, keypoint after keypoint, its offsets (ex, ey) in the
-    keypoint's rotated frame, and the number of pixels per keypoint.
+    Reads layer ``layer`` of the field over the box of the pool's largest
+    window, in row-major order.  Each valid pixel inside a side's window
+    adds weight * magnitude * Gaussian cell weight to its cell, summed
+    from 0.0 in side order, and one kernel product votes the cells over
+    the orientation bins relative to the keypoint's.
     """
-    cols, rows, pix = lattice
-    du = (cols - u[:, None])[:, None, :]
-    dv = (rows - v[:, None])[:, :, None]
-    c, s = np.array([(math.cos(-t), math.sin(-t)) for t in theta]).T[:, :, None, None]
-    ex = c * du - s * dv
-    ey = s * du + c * dv
-    sel = np.maximum(np.abs(ex), np.abs(ey)) <= (largest / 2.0)[:, None, None]
-    sel &= field.valid.reshape(-1)[pix]
-    return pix[sel], np.stack((ex[sel], ey[sel])), sel.sum(axis=(1, 2))
-
-
-def _vote_grids(field, pixels, theta, sides, pools, cfg):
-    """Raw grids of one chunk of rotated keypoints, for each pool, from the gathered pixels.
-
-    ``sides`` holds the distinct side columns.  A pool is (the keypoints
-    it keeps, its largest sides, its weights, one row per keypoint, and
-    the distinct column of each of its sides).
-    """
-    pix, e, counts = pixels
+    largest = max(sides)
+    h, w = field.magnitude.shape[-2:]
+    u0, u1, v0, v1 = window_box(kp, largest, (h, w))
+    magnitude, orientation, valid = (
+        x.reshape(-1, h, w)[layer, v0 : v1 + 1, u0 : u1 + 1] for x in (field.magnitude, field.orientation, field.valid)
+    )
+    cos, sin = math.cos(-kp.orientation), math.sin(-kp.orientation)
+    du = np.arange(u0, u1 + 1, dtype=float) - kp.u
+    dv = np.arange(v0, v1 + 1, dtype=float)[:, None] - kp.v
+    ex, ey = cos * du - sin * dv, sin * du + cos * dv
+    reach = np.maximum(np.abs(ex), np.abs(ey))
+    sel = (reach <= largest / 2.0) & valid
+    e, reach, mag = np.stack((ex[sel], ey[sel])), reach[sel], magnitude[sel]
     C = cfg.cells
-    owner = np.repeat(np.arange(counts.size), counts)
-
-    def spread(x, owner=owner):
-        # per-keypoint rows, over the pixels of ``owner``; rows the chunk
-        # shares to the bit stay one row, with the same IEEE operations
-        return x[0] if len(x) == 1 or (x.view(np.int64) == x[:1].view(np.int64)).all() else x[owner]
-
-    mag = field.magnitude.reshape(-1)[pix]
-    reach = np.maximum(np.abs(e[0]), np.abs(e[1]))
-
-    # the row of each pixel's cell under each side column, or a last,
-    # discarded row for a pixel outside that side, and its Gaussian weight
-    sides = spread(sides)
-    cells = sides / C
-    halves = sides / 2.0
-    sigma_k = cfg.kappa_fraction * cells
-    variances = sigma_k * sigma_k
-    rows, gauss = [], []
-    for j in range(sides.shape[-1]):
-        half, cell, var = halves[..., j], cells[..., j], variances[..., j]
-        c = np.minimum(np.floor((e + half) / cell), C - 1)
-        d = e - ((c + 0.5) * cell - half)
-        rows.append(np.where(reach <= half, c[1] * C + c[0], C * C))
-        gauss.append(np.exp(-0.5 * (d[0] * d[0] + d[1] * d[1]) / var))
-
-    # each pool's votes over its own pixels, one row of pixel weights per
-    # cell; bincount sums each entry's votes from 0.0 in side order
-    votes = []
-    for keep, top, weights, columns in pools:
-        # a lone pool reads every gathered pixel; compress keeps a matrix
-        # C-ordered, where a fancy-indexed [:, mask] is F-ordered and its
-        # products round differently
-        mask = None if len(pools) == 1 else keep[owner] & (reach <= spread(top / 2.0))
-        take = (lambda a: a) if mask is None or mask.all() else (lambda a, mask=mask: a.compress(mask, axis=-1))
-        own, m = take(owner), take(mag)
-        weights, n = spread(weights, own), m.size
-        slots, weighted = np.empty((len(columns), n), dtype=np.intp), np.empty((len(columns), n))
-        for j, column in enumerate(columns):
-            slots[j] = take(rows[column]) * n + np.arange(n)
-            weighted[j] = weights[..., j] * m * take(gauss[column])
-        flat = np.bincount(slots.ravel(), weighted.ravel(), (C * C + 1) * n)
-        votes.append((take, flat.reshape(C * C + 1, n)[: C * C], np.bincount(own, minlength=counts.size)[keep]))
-
-    # the kernel depends on a pixel's orientation relative to its keypoint
-    # alone; each keypoint takes the product over its own columns, in its
-    # own pixel order, so that it sums exactly as for that keypoint alone.
-    # take keeps the columns C-ordered, as compress does
-    columns = vote_kernel(wrap_angle(field.orientation.reshape(-1)[pix] - spread(theta)), cfg.kernel(), cfg.bins)
-    out = []
-    for take, pool, pool_counts in votes:
-        pool_columns = take(columns)
-        bounds = [0, *np.cumsum(pool_counts).tolist()]
-        grids = [(pool_columns[:, a:b] @ pool[:, a:b].T).T.ravel() for a, b in zip(bounds, bounds[1:])]
-        out.append(np.array(grids).reshape(-1, cfg.length))
-    return out
+    votes = np.zeros((C * C, mag.size))
+    for side, weight in zip(sides, weights):
+        half, cell = side / 2.0, side / C
+        pix = np.flatnonzero(reach <= half)
+        c = np.minimum(np.floor((e[:, pix] + half) / cell), C - 1)
+        d = e[:, pix] - ((c + 0.5) * cell - half)
+        sigma_k = cfg.kappa_fraction * cell
+        gauss = np.exp(-0.5 * (d[0] * d[0] + d[1] * d[1]) / (sigma_k * sigma_k))
+        votes[(c[1] * C + c[0]).astype(np.intp), pix] += weight * mag[pix] * gauss
+    kernel = vote_kernel(wrap_angle(orientation[sel] - kp.orientation), cfg.kernel(), cfg.bins)
+    return (kernel @ votes.T).T.ravel()
 
 
 def accumulate_grid(
@@ -690,7 +630,7 @@ def accumulate_grid(
     """
     kept, grids = accumulate_pools(field, [kp], [([sides], weights)], cfg)[0]
     if not kept:
-        raise _support_error(kp, sides, field.magnitude.shape)
+        raise _support_error(kp, sides, field.magnitude.shape[-2:])
     return grids[0]
 
 

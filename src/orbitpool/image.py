@@ -330,12 +330,14 @@ def warp(img, transform):
 
     Inverse-mapped bilinear interpolation; returns ``(warped, mask)`` where
     ``mask`` is False outside the source domain (those pixels are set to 0).
-    This is the one-view, whole-image case of ``warp_boxes``.
+    This is the one-view, whole-image case of ``warp_sources`` and
+    ``resample``.
     """
     h, w = img.values.shape
-    values, masks = warp_boxes(img, [transform.inverse()], [(0, w - 1, 0, h - 1)])
+    sources = warp_sources((h, w), [transform.inverse()], [(0, w - 1, 0, h - 1)])
+    values = resample(img.values, sources)
     # The layer is fresh, finite and in [0, 1], so it is wrapped without
-    # the copy ImageBuffer makes.  That copy, made once warp_boxes has freed
+    # the copy ImageBuffer makes.  That copy, made once the warp has freed
     # its temporaries, would also put the long-lived image low in the heap,
     # where the free space above it is trimmed and regrown around every
     # later large temporary (about 100,000 page faults per scale-scatter
@@ -343,35 +345,24 @@ def warp(img, transform):
     values.setflags(write=False)
     warped = object.__new__(ImageBuffer)
     object.__setattr__(warped, "values", values[0])
-    return warped, masks[0]
-
-
-def warp_boxes(img, inverses, boxes):
-    """Warp an image once per view, each view over its own pixel box.
-
-    View k resamples the inclusive box ``boxes[k] = (u0, u1, v0, v1)`` of
-    the output, mapping each output pixel to the source through
-    ``inverses[k]``, the inverse of the view's transform.  All boxes have
-    one shape (bh, bw).  Returns the ``(V, bh, bw)`` stacks of warped
-    values, clipped into [0, 1], and of masks (False where the source
-    point falls outside the image; those values are 0).  Layer k is the
-    ``[v0:v1+1, u0:u1+1]`` crop of the whole-image ``warp`` by that view's
-    transform, bit for bit.
-
-    ``warp_sources`` is the half that reads no pixel, which a caller
-    warping many images of one shape alike computes once; ``resample``
-    is the other.
-    """
-    sources = warp_sources(img.values.shape, inverses, boxes)
-    return resample(img.values, sources), sources[2]
+    return warped, sources[2][0]
 
 
 def warp_sources(shape, inverses, boxes):
-    """The pixel-free half of ``warp_boxes`` for an image of ``shape`` (height, width).
+    """Where a warp of an image of ``shape`` (height, width) samples it, once per view.
 
-    Returns the ``(V, bh, bw)`` source coordinates su and sv of every
-    output pixel, clipped into the image, and the masks of the points
-    that were inside it before clipping.
+    View k covers the inclusive box ``boxes[k] = (u0, u1, v0, v1)`` of
+    the output, mapping each output pixel to the source through
+    ``inverses[k]``, the inverse of the view's transform.  All boxes have
+    one shape (bh, bw).  Returns the ``(V, bh, bw)`` source coordinates
+    su and sv of every output pixel, clipped into the image, and the
+    masks of the points that were inside it before clipping.
+
+    This half reads no pixel, so a caller warping many images of one
+    shape alike computes it once; ``resample`` is the other.  Layer k of
+    the resampled stack and of the masks is the ``[v0:v1+1, u0:u1+1]``
+    crop of the whole-image ``warp`` by that view's transform, bit for
+    bit.
     """
     h, w = shape
     if len(inverses) != len(boxes):
@@ -400,7 +391,7 @@ def warp_sources(shape, inverses, boxes):
 
 
 def resample(values, sources):
-    """The pixel half of ``warp_boxes``: sample ``values`` at ``warp_sources``' points, 0 outside, clipped into [0, 1]."""
+    """The pixel half of a warp: sample ``values`` at ``warp_sources``' points, 0 outside, clipped into [0, 1]."""
     su, sv, inside = sources
     out = _bilinear_sample(values, su, sv)
     out[~inside] = 0.0

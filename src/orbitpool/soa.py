@@ -311,10 +311,10 @@ def build_template(
     bit the whole-image warp's.
 
     The warped views are planned first, then grouped by box shape and
-    taken ``GRID_CHUNK`` at a time: one warp of the chunk's boxes (the
-    two halves of ``warp_boxes``), one gradient pass over its stack and
-    one ``accumulate_pools`` pass in which view k reads layer k.  Every
-    layer, and every view's grid, is bit for bit that of the view alone,
+    taken ``GRID_CHUNK`` at a time: one warp of the chunk's boxes
+    (``warp_sources``, then ``resample``), one gradient pass over its
+    stack and one ``accumulate_pools`` pass in which view k reads layer
+    k.  Every layer, and every view's grid, is bit for bit that of the view alone,
     and only one chunk's layers are alive at a time.  If a view fails, the error raised is the first
     failing view's, in sample and cloud order, as a view-by-view loop
     would raise it; support errors name the keypoint in whole-image

@@ -213,6 +213,13 @@ class TestSingleSizeDescriptor:
         with pytest.raises(SupportError):
             single_size_descriptor(f, kp, 12.0)
 
+    def test_support_error_on_a_one_layer_field(self):
+        # a (1, h, w) field holds the one keypoint's layer; the error names
+        # the image by its last two axes
+        f = gradient_field_of_array(np.random.default_rng(0).uniform(size=(1, 32, 32)))
+        with pytest.raises(SupportError, match=r"in the 32x32 image: 6\.00$"):
+            single_size_descriptor(f, Keypoint(2.0, 2.0, 2.0), 6.0)
+
 
 class TestDspDescriptor:
     def test_delta_prior_reduces_exactly(self):
@@ -733,13 +740,13 @@ class TestAccumulatePools:
 class TestUprightPath:
     def test_upright_keypoints_never_gather_pixels(self, monkeypatch):
         # lattices, detected keypoints and template views are upright, and
-        # take the separable path; a rotated keypoint still gathers
+        # take the separable path; a rotated keypoint is described pixel by pixel
         from orbitpool import bench, descriptor, soa
 
         def refuse(*args):
-            raise AssertionError("_window_pixels reached")
+            raise AssertionError("_rotated_grid reached")
 
-        monkeypatch.setattr(descriptor, "_window_pixels", refuse)
+        monkeypatch.setattr(descriptor, "_rotated_grid", refuse)
         img = textures.filtered_noise(64, 64, seed=7)
         mcfg = bench.MatchConfig()
         for kps in (grid_keypoints(img, 12, 6.0), dog_keypoints(img)):
@@ -748,7 +755,7 @@ class TestUprightPath:
         samples = soa.GroupSampleSet.rotation_group(4, anti_alias="delta")
         template = soa.build_template(img, Keypoint(31.5, 31.5, 6.6), samples)
         assert not any(d.degenerate for d in template.descriptors)
-        with pytest.raises(AssertionError, match="_window_pixels reached"):
+        with pytest.raises(AssertionError, match="_rotated_grid reached"):
             accumulate_grid(compute_gradients(img), Keypoint(32.0, 32.0, 4.0, 0.5), (12.0,), (1.0,), DescriptorConfig())
 
 

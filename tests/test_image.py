@@ -27,9 +27,10 @@ from orbitpool.image import (
     gradient_field_of_array,
     load_image,
     patch_inside,
+    resample,
     save_pgm,
     warp,
-    warp_boxes,
+    warp_sources,
 )
 from orbitpool import textures
 from orbitpool.cli import main
@@ -369,7 +370,8 @@ class TestWindowedWarp:
     def test_box_is_crop_of_whole_warp(self, case, g):
         img, (u0, u1, v0, v1) = case
         whole, whole_mask = warp(img, g)
-        crop, mask = warp_boxes(img, [g.inverse()], [(u0, u1, v0, v1)])
+        sources = warp_sources(img.values.shape, [g.inverse()], [(u0, u1, v0, v1)])
+        crop, mask = resample(img.values, sources), sources[2]
         assert crop[0].tobytes() == whole.values[v0 : v1 + 1, u0 : u1 + 1].tobytes()
         assert mask[0].tobytes() == whole_mask[v0 : v1 + 1, u0 : u1 + 1].tobytes()
 
@@ -377,7 +379,7 @@ class TestWindowedWarp:
     def test_box_outside_image_rejected(self, box):
         img = textures.filtered_noise(8, 5, seed=1)
         with pytest.raises(ValueError, match="box"):
-            warp_boxes(img, [SimilarityTransform.identity()], [box])
+            resample(img.values, warp_sources(img.values.shape, [SimilarityTransform.identity()], [box]))
 
     def test_warped_image_is_read_only(self):
         out, _ = warp(textures.filtered_noise(8, 5, seed=1), SimilarityTransform(rotation=0.3))
@@ -405,7 +407,8 @@ class TestWarpBoxes:
         for _, du, dv in views:
             du, dv = du % (w - u1 + u0), dv % (h - v1 + v0)
             boxes.append((du, du + u1 - u0, dv, dv + v1 - v0))
-        values, masks = warp_boxes(img, [g.inverse() for g, _, _ in views], boxes)
+        sources = warp_sources(img.values.shape, [g.inverse() for g, _, _ in views], boxes)
+        values, masks = resample(img.values, sources), sources[2]
         for k, ((g, _, _), (a0, a1, b0, b1)) in enumerate(zip(views, boxes)):
             whole, whole_mask = warp(img, g)
             assert values[k].tobytes() == whole.values[b0 : b1 + 1, a0 : a1 + 1].tobytes()
@@ -415,7 +418,7 @@ class TestWarpBoxes:
         img = textures.filtered_noise(8, 5, seed=1)
         g = SimilarityTransform.identity()
         with pytest.raises(ValueError, match="one shape"):
-            warp_boxes(img, [g, g], [(0, 3, 0, 3), (0, 4, 0, 3)])
+            resample(img.values, warp_sources(img.values.shape, [g, g], [(0, 3, 0, 3), (0, 4, 0, 3)]))
 
 
 def two_index_sample(values, su, sv):
